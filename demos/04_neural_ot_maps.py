@@ -20,7 +20,7 @@ Run: python3 demos/04_neural_ot_maps.py   (about a minute)
 import numpy as np
 
 from otconvert.neural import (NotConfig, apply_map, dataset_from_arrays,
-                              not_train, xnot_train)
+                              not_train)
 from otconvert.rng import make_rng
 from otconvert.synth import clusters_outlier, gauss_shift, two_conditions
 
@@ -69,7 +69,7 @@ def extremal_part() -> None:
         cfg = NotConfig(hidden_dims=(64, 64), batch_size=128, extremal=True,
                         w=w, total_outer_iterations=2000,
                         checkpoint_every=10_000)
-        pair, _ = xnot_train(ds, cfg, make_rng(3, "train"))
+        pair, _ = not_train(ds, cfg, make_rng(3, "train"))
         mapped = apply_map(pair, held, np.array([1.0]))
         frac_near = float(np.mean(
             np.linalg.norm(mapped - near, axis=1)

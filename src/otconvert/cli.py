@@ -37,8 +37,8 @@ from .errors import (CapacityError, DivergenceError, NumericalError,
                      ValidationError)
 from .fileio import (REQUIRED, _format_value, atomic_write_text,
                      format_kv_text, parse_kv_text, read_feature_file,
-                     resolve_config, write_feature_file, write_not_pair,
-                     write_velocity_field)
+                     read_text_file, resolve_config, write_feature_file,
+                     write_not_pair, write_velocity_field)
 from .flow import FlowConfig, fm_train, plan_pair_sampler
 from .metrics import frechet_distance, theorem1_check, w2_squared_empirical
 from .neural import NotConfig, dataset_from_arrays, not_train
@@ -193,8 +193,7 @@ def _resolve(args, command: str) -> dict:
     schema = SCHEMAS[command]
     raw: dict[str, str] = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            raw.update(parse_kv_text(handle.read()))
+        raw.update(parse_kv_text(read_text_file(args.config)))
     if raw.get("command", command) != command:
         raise ValidationError(
             f"config is for {raw['command']!r}, but the"
@@ -243,6 +242,15 @@ def _flow_config(resolved) -> FlowConfig:
     )
 
 
+def _warn_if_unconverged(plan, resolved):
+    """One stderr line when a Sinkhorn plan stopped short of its tolerance."""
+    if plan.marginal_error >= resolved["sinkhorn_tolerance"]:
+        print(f"warning: Sinkhorn stopped after {plan.iterations_used} iterations"
+              f" at marginal error {plan.marginal_error:.3g}, above the tolerance"
+              f" {resolved['sinkhorn_tolerance']:g}; raise epsilon or"
+              " sinkhorn_max_iterations", file=sys.stderr)
+
+
 def cmd_convert(resolved: dict) -> int:
     source = read_feature_file(resolved["source"])
     reference = read_feature_file(resolved["reference"])
@@ -256,6 +264,7 @@ def cmd_convert(resolved: dict) -> int:
     if method == "sinkvc":
         converted, report = sinkvc_convert(src, ref, cfg=_sinkhorn_config(resolved),
                                            k=resolved["k"])
+        _warn_if_unconverged(report.plan_stats, resolved)
         report_payload = asdict(report)
     elif method == "knn":
         converted, report = knn_convert(src, ref, k=resolved["k"])
@@ -266,6 +275,7 @@ def cmd_convert(resolved: dict) -> int:
         field, converted, report = fm_pipeline(
             src, ref, _sinkhorn_config(resolved), _flow_config(resolved),
             make_rng(resolved["seed"], "train"), cost_kind=resolved["cost"])
+        _warn_if_unconverged(report.plan_stats, resolved)
         report_payload = asdict(report)
         if resolved["model"]:
             write_velocity_field(resolved["model"], field,
@@ -299,6 +309,7 @@ def cmd_train_fm(resolved: dict) -> int:
     reference = read_feature_file(resolved["reference"]).values.astype(np.float64)
     cost = cost_matrix(source, reference, resolved["cost"])
     plan = sinkhorn(cost, cfg=_sinkhorn_config(resolved))
+    _warn_if_unconverged(plan, resolved)
     trace_path = resolved["loss_trace"] or resolved["out_model"] + ".loss.csv"
     try:
         field = fm_train(plan_pair_sampler(plan, source, reference),
@@ -339,8 +350,7 @@ def parse_dataset_spec(path: str):
 
     Paths are resolved relative to the spec file's directory.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = parse_kv_text(handle.read())
+    raw = parse_kv_text(read_text_file(path))
     if "conditions" not in raw:
         raise ValidationError(f"{path}: missing required config key 'conditions'")
     labels = [part.strip() for part in raw.pop("conditions").split(",") if part.strip()]
@@ -362,7 +372,13 @@ def parse_dataset_spec(path: str):
                 raise ValidationError(
                     f"{path}: missing required config key '{label}.{field}'"
                 )
-        vector = np.array([float(part) for part in raw[f"{label}.vector"].split(",")])
+        try:
+            vector = np.array([float(part) for part in raw[f"{label}.vector"].split(",")])
+        except ValueError:
+            raise ValidationError(
+                f"{path}: '{label}.vector' must be comma-separated numbers,"
+                f" got {raw[f'{label}.vector']!r}"
+            ) from None
         source = read_feature_file(os.path.join(base, raw[f"{label}.source"]))
         target = read_feature_file(os.path.join(base, raw[f"{label}.target"]))
         entries.append((label, vector,
@@ -438,17 +454,21 @@ def cmd_eval(resolved: dict) -> int:
     payload: dict = {"a": resolved["a"], "b": resolved["b"],
                      "n_a": int(a.shape[0]), "n_b": int(b.shape[0])}
     try:
-        if "w2" in wanted:
-            # unit convention (2x the half-squared-cost optimum), so the
-            # value is directly comparable to fd and theorem1.two_w2sq
-            payload["w2_squared"] = 2.0 * w2_squared_empirical(a, b, mode=mode,
-                                                               cfg=cfg)
-        if "fd" in wanted:
-            payload["frechet"] = frechet_distance(a, b)
+        # w2 is reported in the unit convention (2x the half-squared-cost
+        # optimum), so it is directly comparable to fd and theorem1.two_w2sq;
+        # when theorem1 is asked for, its two sides are those same values
         if "theorem1" in wanted:
-            fd, two_w2sq, holds = theorem1_check(a, b, mode=mode, cfg=cfg)
-            payload["theorem1"] = {"fd": fd, "two_w2sq": two_w2sq,
+            fd, w2_squared, holds = theorem1_check(a, b, mode=mode, cfg=cfg)
+            payload["theorem1"] = {"fd": fd, "two_w2sq": w2_squared,
                                    "holds": bool(holds)}
+        else:
+            w2_squared = (2.0 * w2_squared_empirical(a, b, mode=mode, cfg=cfg)
+                          if "w2" in wanted else None)
+            fd = frechet_distance(a, b) if "fd" in wanted else None
+        if "w2" in wanted:
+            payload["w2_squared"] = w2_squared
+        if "fd" in wanted:
+            payload["frechet"] = fd
     except CapacityError as err:
         raise ValidationError(
             f"{err}; rerun with --w2-mode sinkhorn"

@@ -42,13 +42,11 @@ class SinkhornConfig:
     """Entropic solver settings.
 
     tolerance bounds the max L∞ marginal deviation at convergence.
-    log_domain is informational: the solver has no other mode.
     """
 
     epsilon: float = 0.1
     max_iterations: int = 10_000
     tolerance: float = 1e-6
-    log_domain: bool = True
 
     def __post_init__(self):
         if not (self.epsilon > 0):
@@ -57,8 +55,6 @@ class SinkhornConfig:
             raise ValidationError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if not self.log_domain:
-            raise ValidationError("only the log-domain solver exists")
 
 
 @dataclass

@@ -109,7 +109,12 @@ def read_feature_file(path) -> FeatureData:
         raise ValidationError(f"{path}: unknown dtype code {code}")
     dtype = _DTYPE_CODES[code]
     offset = 8 + 1 + 8 + 8 + 2
-    tag = blob[offset:offset + tag_len].decode("utf-8")
+    try:
+        tag = blob[offset:offset + tag_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: tag is not valid UTF-8 (byte {offset + exc.start})"
+        ) from None
     offset += tag_len
     expected = rows * cols * dtype.itemsize
     if len(blob) - offset != expected:
@@ -133,7 +138,7 @@ def _pack_network(model: MlpModel) -> bytes:
     return out
 
 
-def _unpack_network(blob, offset):
+def _unpack_network(blob, offset, path):
     (n_dims,) = struct.unpack_from("<B", blob, offset)
     offset += 1
     dims = struct.unpack_from(f"<{n_dims}I", blob, offset)
@@ -143,7 +148,7 @@ def _unpack_network(blob, offset):
     (condition_dim,) = struct.unpack_from("<I", blob, offset)
     offset += 4
     if act_code not in _ACTIVATION_NAMES:
-        raise ValidationError(f"unknown activation code {act_code}")
+        raise ValidationError(f"{path}: unknown activation code {act_code}")
     return {
         "layer_dims": tuple(int(d) for d in dims),
         "activation": _ACTIVATION_NAMES[act_code],
@@ -209,22 +214,29 @@ def _read_model_file(path):
         blob = handle.read()
     if blob[:8] != MODEL_MAGIC:
         raise ValidationError(f"{path}: not a model file (magic {blob[:8]!r})")
-    kind_code, model_flags = struct.unpack_from("<BB", blob, 8)
-    if kind_code >= len(MODEL_KINDS):
-        raise ValidationError(f"{path}: unknown model kind code {kind_code}")
-    offset = 10
-    (config_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    config_text = blob[offset:offset + config_len].decode("utf-8")
-    offset += config_len
-    (n_networks,) = struct.unpack_from("<B", blob, offset)
-    offset += 1
-    descs = []
-    for _ in range(n_networks):
-        desc, offset = _unpack_network(blob, offset)
-        descs.append(desc)
-    (param_count,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
+    try:
+        kind_code, model_flags = struct.unpack_from("<BB", blob, 8)
+        if kind_code >= len(MODEL_KINDS):
+            raise ValidationError(f"{path}: unknown model kind code {kind_code}")
+        offset = 10
+        (config_len,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        config_text = blob[offset:offset + config_len].decode("utf-8")
+        offset += config_len
+        (n_networks,) = struct.unpack_from("<B", blob, offset)
+        offset += 1
+        descs = []
+        for _ in range(n_networks):
+            desc, offset = _unpack_network(blob, offset, path)
+            descs.append(desc)
+        (param_count,) = struct.unpack_from("<Q", blob, offset)
+        offset += 8
+    except struct.error:
+        raise ValidationError(
+            f"{path}: truncated model header ({len(blob)} bytes)"
+        ) from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: config echo is not valid UTF-8") from None
     expected = sum(_network_param_count(d) for d in descs)
     if param_count != expected:
         raise ValidationError(
@@ -273,6 +285,15 @@ def read_not_pair(path):
     pair = NotModelPair(map_model=models[0], potential_model=models[1],
                         nonpositivity_transform=bool(flags & 1))
     return pair, config_text
+
+
+def read_text_file(path) -> str:
+    """Read a UTF-8 text file; undecodable bytes raise ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
 
 def parse_kv_text(text: str) -> dict:

@@ -35,7 +35,6 @@ class FlowConfig:
     batch_size: int = 1000
     iterations: int = 1000
     learning_rate: float = 0.001
-    time_sampling: str = "uniform"
     ode_steps: int = 100
     ode_method: str = "euler"
 
@@ -46,8 +45,6 @@ class FlowConfig:
             raise ValidationError("ode_steps must be >= 1")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.time_sampling != "uniform":
-            raise ValidationError("time is sampled uniformly on [0, 1]; no other mode")
         if self.ode_method not in ODE_METHODS:
             raise ValidationError(
                 f"ode_method must be one of {ODE_METHODS}, got {self.ode_method!r}"
@@ -115,9 +112,26 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
     return VelocityField(model=model, dim=dim, training_loss_trace=trace)
 
 
-def _velocity(field: VelocityField, t: float, x: np.ndarray) -> np.ndarray:
-    t_arr = np.full(x.shape[0], t)
-    return mlp_forward(field.model, x, t=t_arr)
+def _ode_states(field: VelocityField, x: np.ndarray, cfg: FlowConfig):
+    """Yield the state after each fixed step of dx/dt = v(t, x) from t=0 to 1.
+
+    Raises NumericalError naming the step if the state stops being finite.
+    """
+    state = x
+    h = 1.0 / cfg.ode_steps
+    for step in range(cfg.ode_steps):
+        t = step * h
+        if cfg.ode_method == "euler":
+            state = state + h * field.velocity(t, state)
+        else:
+            k1 = field.velocity(t, state)
+            k2 = field.velocity(t + 0.5 * h, state + 0.5 * h * k1)
+            k3 = field.velocity(t + 0.5 * h, state + 0.5 * h * k2)
+            k4 = field.velocity(t + h, state + h * k3)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(state)):
+            raise NumericalError(f"integration state became non-finite at step {step}")
+        yield state
 
 
 def fm_apply(field: VelocityField, x, cfg: FlowConfig | None = None) -> np.ndarray:
@@ -132,20 +146,8 @@ def fm_apply(field: VelocityField, x, cfg: FlowConfig | None = None) -> np.ndarr
         raise ShapeError(
             f"expected shape (n, {field.dim}), got {x.shape}"
         )
-    state = x.copy()
-    h = 1.0 / cfg.ode_steps
-    for step in range(cfg.ode_steps):
-        t = step * h
-        if cfg.ode_method == "euler":
-            state = state + h * _velocity(field, t, state)
-        else:
-            k1 = _velocity(field, t, state)
-            k2 = _velocity(field, t + 0.5 * h, state + 0.5 * h * k1)
-            k3 = _velocity(field, t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = _velocity(field, t + h, state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise NumericalError(f"integration state became non-finite at step {step}")
+    for state in _ode_states(field, x, cfg):
+        pass
     return state
 
 
@@ -196,6 +198,7 @@ def straight_path_deviation(field: VelocityField, x0, x1,
     For each pair, integrates from x0 recording every intermediate state and
     measures the largest distance to the segment x0→x1, divided by the chord
     length. Values near 0 mean the field moves mass along straight lines.
+    Raises NumericalError naming the step if the state stops being finite.
     """
     cfg = cfg or FlowConfig()
     x0 = np.asarray(x0, dtype=np.float64)
@@ -206,19 +209,8 @@ def straight_path_deviation(field: VelocityField, x0, x1,
     length = np.linalg.norm(chord, axis=1)
     if np.any(length == 0.0):
         raise ValidationError("zero-length chord; deviation is undefined")
-    state = x0.copy()
-    h = 1.0 / cfg.ode_steps
     worst = np.zeros(x0.shape[0])
-    for step in range(cfg.ode_steps):
-        t = step * h
-        if cfg.ode_method == "euler":
-            state = state + h * _velocity(field, t, state)
-        else:
-            k1 = _velocity(field, t, state)
-            k2 = _velocity(field, t + 0.5 * h, state + 0.5 * h * k1)
-            k3 = _velocity(field, t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = _velocity(field, t + h, state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for state in _ode_states(field, x0, cfg):
         # distance to the segment x0 + u * chord, u clamped to [0, 1]
         u = np.clip(np.sum((state - x0) * chord, axis=1) / length**2, 0.0, 1.0)
         foot = x0 + u[:, None] * chord

@@ -21,6 +21,7 @@ import numpy as np
 
 from .discrete import (
     SinkhornConfig,
+    _as_rows,
     cost_matrix,
     exact_ot,
     project_to_marginals,
@@ -46,28 +47,10 @@ class GaussianStats:
     sample_count: int
 
 
-@dataclass
-class MetricReport:
-    w2_squared: float
-    frechet: float
-    method_notes: str
-    n_source: int
-    n_target: int
-
-
 class Theorem1Result(NamedTuple):
     fd: float
     two_w2sq: float
     holds: bool
-
-
-def _rows(x, name) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"{name} must be a nonempty 2-d array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return x
 
 
 def gaussian_fit(x) -> GaussianStats:
@@ -79,7 +62,7 @@ def gaussian_fit(x) -> GaussianStats:
     empirical distribution, which keeps frechet_distance a true lower bound
     for the empirical transport cost instead of a statistical one.
     """
-    x = _rows(x, "x")
+    x = _as_rows(x, "x")
     n, d = x.shape
     mean = x.mean(axis=0)
     centered = x - mean
@@ -147,8 +130,8 @@ def w2_squared_empirical(x, y, mode: str | None = None,
     marginals; the value carries an upward entropic bias and never
     undercuts the exact optimum. Default picks exact_small when it applies.
     """
-    x = _rows(x, "x")
-    y = _rows(y, "y")
+    x = _as_rows(x, "x")
+    y = _as_rows(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
     if mode is None:
@@ -184,8 +167,8 @@ def frechet_distance(x, y) -> float:
     The desk-scale form of the usual embedding-space Fréchet score, with the
     identity as the feature map.
     """
-    x = _rows(x, "x")
-    y = _rows(y, "y")
+    x = _as_rows(x, "x")
+    y = _as_rows(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
     try:
@@ -210,30 +193,3 @@ def theorem1_check(x_generated, y_target, slack: float = 1e-8,
     two_w2 = 2.0 * w2_squared_empirical(x_generated, y_target, mode=mode, cfg=cfg)
     return Theorem1Result(fd=fd, two_w2sq=two_w2, holds=bool(fd <= two_w2 + slack))
 
-
-def evaluate_sets(x, y, mode: str | None = None,
-                  cfg: SinkhornConfig | None = None) -> MetricReport:
-    """Bundle the two distribution distances for reporting."""
-    x = _rows(x, "x")
-    y = _rows(y, "y")
-    chosen = mode or (
-        "exact_small"
-        if x.shape[0] == y.shape[0] and x.shape[0] <= EXACT_W2_LIMIT
-        else "sinkhorn"
-    )
-    w2 = w2_squared_empirical(x, y, mode=chosen, cfg=cfg)
-    fd = frechet_distance(x, y)
-    eps = (cfg or SinkhornConfig(epsilon=0.01)).epsilon
-    notes = (
-        f"w2: {chosen}"
-        + (f" eps={eps} (entropic upward bias)" if chosen == "sinkhorn" else "")
-        + ", half-cost convention; fd: gaussian fits ddof=0, identity features,"
-        " unit-cost convention"
-    )
-    return MetricReport(
-        w2_squared=w2,
-        frechet=fd,
-        method_notes=notes,
-        n_source=x.shape[0],
-        n_target=y.shape[0],
-    )

@@ -17,6 +17,7 @@ outliers in the target at large w.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -120,7 +121,6 @@ class NotConfig:
     total_outer_iterations: int = 3000
     extremal: bool = False
     w: float | None = None
-    cost: str = "squared_euclidean"
     hidden_dims: tuple[int, ...] = (128, 128, 128)
     weight_decay: float = 1e-10
     divergence_guard: float = 1e8
@@ -132,8 +132,6 @@ class NotConfig:
             raise ValidationError("inner_steps must be >= 1")
         if self.total_outer_iterations < 1:
             raise ValidationError("total_outer_iterations must be >= 1")
-        if self.cost != "squared_euclidean":
-            raise ValidationError("only the squared_euclidean cost is supported")
         if self.w is not None and self.w < 1.0:
             raise ValidationError(f"w must be >= 1, got {self.w}")
         if self.checkpoint_every < 1:
@@ -290,8 +288,15 @@ def _checkpoint(pair, dataset, cfg, rng, iteration) -> Checkpoint:
     return Checkpoint(iteration=iteration, conditions=evals)
 
 
-def _train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Generator,
-           stop_check=None):
+def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Generator,
+              stop_check=None):
+    """Train the maximin pair. Returns (NotModelPair, TrainTrace).
+
+    cfg.extremal selects the extremal objective (nonpositive potential,
+    target term scaled by cfg.w); otherwise the plain game is trained.
+    stop_check(iteration, pair, checkpoint) -> bool is consulted at every
+    checkpoint; returning True ends training early.
+    """
     pair = _init_pair(dataset.dim, dataset.condition_dim, cfg, rng)
     pot_params = pair.potential_model.parameters()
     map_params = pair.map_model.parameters()
@@ -327,26 +332,6 @@ def _train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Generator
             if stop_check is not None and stop_check(iteration, pair, checkpoint):
                 break
     return pair, trace
-
-
-def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Generator,
-              stop_check=None):
-    """Train the maximin pair. Returns (NotModelPair, TrainTrace).
-
-    stop_check(iteration, pair, checkpoint) -> bool is consulted at every
-    checkpoint; returning True ends training early.
-    """
-    return _train(dataset, cfg, rng, stop_check=stop_check)
-
-
-def xnot_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Generator,
-               stop_check=None):
-    """Extremal variant: identical loop; cfg.extremal picks the objective.
-
-    With extremal off and w = 1 this is bit-for-bit not_train; the separate
-    name marks intent at call sites.
-    """
-    return _train(dataset, cfg, rng, stop_check=stop_check)
 
 
 @dataclass
@@ -414,22 +399,10 @@ def duality_gap_estimate(pair: NotModelPair, dataset: ConditionalDataset,
     epsilon1 = current_map_loss - fresh_map_loss
 
     # saddle-value proxy: fresh pair retrained from scratch
-    probe_cfg_iters = max(1, probe_iterations)
-    retrain_cfg = NotConfig(
-        inner_steps=cfg.inner_steps,
-        batch_size=cfg.batch_size,
-        map_lr=cfg.map_lr,
-        potential_lr=cfg.potential_lr,
-        total_outer_iterations=probe_cfg_iters,
-        extremal=cfg.extremal,
-        w=cfg.w,
-        hidden_dims=cfg.hidden_dims,
-        weight_decay=cfg.weight_decay,
-        divergence_guard=cfg.divergence_guard,
-        checkpoint_every=probe_cfg_iters,
-        eval_samples=cfg.eval_samples,
-    )
-    fresh_pair, _ = _train(dataset, retrain_cfg, rng)
+    n = max(1, probe_iterations)
+    retrain_cfg = dataclasses.replace(cfg, total_outer_iterations=n,
+                                      checkpoint_every=n, lr_decay="none")
+    fresh_pair, _ = not_train(dataset, retrain_cfg, rng)
     epsilon2 = _pair_value(fresh_pair, dataset, cfg, eval_batches) - _pair_value(
         pair, dataset, cfg, eval_batches
     )

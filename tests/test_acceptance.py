@@ -19,8 +19,7 @@ from otconvert.flow import FlowConfig, fm_apply, fm_pipeline, fm_train
 from otconvert.metrics import (GaussianStats, frechet_distance, gaussian_fit,
                                w2_squared_gaussian)
 from otconvert.neural import (NotConfig, apply_map, dataset_from_arrays,
-                              not_loss_map, not_loss_potential, not_train,
-                              xnot_train)
+                              not_loss_map, not_loss_potential, not_train)
 from otconvert.nn import init_mlp, mlp_backward, mlp_forward
 from otconvert.rng import make_rng
 from otconvert.synth import (clusters_outlier, conversion_clusters,
@@ -186,7 +185,7 @@ def test_06_extremal_weight_rejects_the_outlier_arm():
             cfg = NotConfig(hidden_dims=(64, 64), batch_size=128, extremal=True,
                             w=w, total_outer_iterations=2000,
                             checkpoint_every=2000)
-            pair, _ = xnot_train(ds, cfg, make_rng(seed, "train"))
+            pair, _ = not_train(ds, cfg, make_rng(seed, "train"))
             held = 0.3 * make_rng(2000 + seed).normal(size=(500, 2))
             mapped = apply_map(pair, held, np.array([1.0]))
             near = np.array(task.truth["near_center"])

@@ -1,6 +1,7 @@
 """CLI subcommands: flows, exit codes, config resolution, reproducibility."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -371,6 +372,123 @@ class TestEval:
         assert code == 0
         assert json.loads(report.read_text()) == json.loads(stdout)
         assert (tmp_path / "metrics.json.run.cfg").exists()
+
+
+class TestEvalComputesOnce:
+    def test_one_solve_and_one_fit_per_eval(self, tmp_path, capsys,
+                                            monkeypatch):
+        from otconvert import cli, metrics
+
+        calls = {"sinkhorn": 0, "frechet_distance": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (cli, metrics):
+            counting(module, "sinkhorn")
+            counting(module, "frechet_distance")
+        a = tmp_path / "a.otf"
+        b = tmp_path / "b.otf"
+        make_frames(a, n=80, d=3, seed=17)
+        make_frames(b, n=70, d=3, seed=18, shift=0.5)
+        code, stdout, _ = run_cli(capsys, "eval", "--a", a, "--b", b,
+                                  "--metrics", "w2,fd,theorem1")
+        assert code == 0
+        assert calls == {"sinkhorn": 1, "frechet_distance": 1}
+        payload = json.loads(stdout)
+        assert payload["w2_squared"] == payload["theorem1"]["two_w2sq"]
+        assert payload["frechet"] == payload["theorem1"]["fd"]
+
+
+def _bad_tag_otf(tmp_path):
+    path = tmp_path / "bad.otf"
+    path.write_bytes(b"OTFEAT01" + struct.pack("<BQQH", 0, 1, 2, 2)
+                     + b"\xff\xfe" + bytes(16))
+    return path, ["eval", "--a", path, "--b", path, "--metrics", "fd"]
+
+
+def _spec_with(tmp_path, vector_line: bytes):
+    make_frames(tmp_path / "s.otf", n=10, d=2, seed=19)
+    spec = tmp_path / "bad.spec"
+    spec.write_bytes(b"conditions = c\n" + vector_line
+                     + b"c.source = s.otf\nc.target = s.otf\n")
+    return spec, ["train-not", "--dataset-spec", spec,
+                  "--out-model", tmp_path / "p.otm"]
+
+
+def _non_numeric_vector(tmp_path):
+    return _spec_with(tmp_path, b"c.vector = one\n")
+
+
+def _non_utf8_spec(tmp_path):
+    return _spec_with(tmp_path, b"c.vector = 1\xff\n")
+
+
+def _non_utf8_config(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"command = synth\ntask = gauss_shift\xff\n")
+    return cfg, ["synth", "--config", cfg, "--out-dir", tmp_path / "d"]
+
+
+@pytest.mark.parametrize("make_case", [_bad_tag_otf, _non_numeric_vector,
+                                       _non_utf8_spec, _non_utf8_config])
+def test_undecodable_input_exits_2_with_one_line(tmp_path, make_case):
+    bad, argv = make_case(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "otconvert", *(str(a) for a in argv)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert bad.name in lines[0]
+
+
+class TestSinkhornNonConvergence:
+    def _data(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run_cli(capsys, "synth", "--task", "gauss_shift", "--n", 50,
+                "--dim", 4, "--seed", 3, "--out-dir", data)
+        return data
+
+    def test_convert_warns_once_on_stderr(self, tmp_path, capsys):
+        data = self._data(tmp_path, capsys)
+        args = ["convert", "--source", data / "source.otf",
+                "--reference", data / "target.otf"]
+        code, _, err = run_cli(capsys, *args, "--out", tmp_path / "ok.otf")
+        assert code == 0
+        assert err == ""
+        code, stdout, err = run_cli(capsys, *args, "--out", tmp_path / "o.otf",
+                                    "--epsilon", 1e-4)
+        assert code == 0
+        stats = json.loads(stdout)["plan_stats"]
+        assert stats["iterations_used"] == 10_000
+        assert stats["marginal_error"] >= 1e-6
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+
+    def test_train_fm_warns_once_on_stderr(self, tmp_path, capsys):
+        data = self._data(tmp_path, capsys)
+        cfg = tmp_path / "fm.cfg"
+        cfg.write_text("command = train-fm\n"
+                       "fm_hidden_dims = 8\n"
+                       "fm_batch_size = 16\n"
+                       "fm_iterations = 2\n")
+        code, stdout, err = run_cli(capsys, "train-fm", "--config", cfg,
+                                    "--source", data / "source.otf",
+                                    "--reference", data / "target.otf",
+                                    "--out-model", tmp_path / "f.otm",
+                                    "--epsilon", 1e-4)
+        assert code == 0
+        assert json.loads(stdout)["plan_marginal_error"] >= 1e-6
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
 
 
 class TestConsoleScript:

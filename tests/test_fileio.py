@@ -53,6 +53,13 @@ class TestFeatureFile:
         write_feature_file(path, np.zeros((1, 1)), tag="voix numéro 3")
         assert read_feature_file(path).tag == "voix numéro 3"
 
+    def test_non_utf8_tag_rejected(self, tmp_path):
+        path = tmp_path / "t.otf"
+        path.write_bytes(b"OTFEAT01" + struct.pack("<BQQH", 0, 1, 1, 2)
+                         + b"\xff\xfe" + bytes(8))
+        with pytest.raises(ValidationError, match="t.otf: tag is not valid UTF-8"):
+            read_feature_file(path)
+
     def test_known_bytes_read_back(self, tmp_path):
         # hand-assembled file: 2x3 float32 matrix 0..5, tag "ok"
         path = tmp_path / "hand.otf"
@@ -181,6 +188,27 @@ class TestModelFile:
         blob = blob[:-16]  # drop two parameters
         path.write_bytes(bytes(blob))
         with pytest.raises(ValidationError, match="truncated"):
+            read_velocity_field(path)
+
+    @pytest.mark.parametrize("size", [10, 40])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        path = tmp_path / "field.otm"
+        model = init_mlp((2, 4, 2), make_rng(11, "init"), time_conditioned=True)
+        write_velocity_field(path, VelocityField(model=model, dim=2),
+                             config_text="seed = 11\n")
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValidationError, match="field.otm: truncated model header"):
+            read_velocity_field(path)
+
+    def test_unknown_activation_code_names_the_file(self, tmp_path):
+        path = tmp_path / "field.otm"
+        model = init_mlp((2, 4, 2), make_rng(12, "init"), time_conditioned=True)
+        write_velocity_field(path, VelocityField(model=model, dim=2))
+        blob = bytearray(path.read_bytes())
+        blob[28] = 9  # activation byte of the only network (3 layer dims)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError,
+                           match="field.otm: unknown activation code 9"):
             read_velocity_field(path)
 
     def test_magic_mismatch_rejected(self, tmp_path):

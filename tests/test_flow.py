@@ -99,10 +99,6 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             FlowConfig(ode_method="heun")
 
-    def test_bad_time_sampling(self):
-        with pytest.raises(ValidationError):
-            FlowConfig(time_sampling="beta")
-
     def test_bad_counts(self):
         with pytest.raises(ValidationError):
             FlowConfig(iterations=0)
@@ -239,3 +235,10 @@ class TestPipeline:
         x = np.zeros((3, 2))
         with pytest.raises(ValidationError):
             straight_path_deviation(field, x, x, SMALL)
+
+    def test_straight_path_nonfinite_state_raises(self):
+        field = _constant_field([1.0])
+        field.model.biases[1][0] = np.nan
+        x0 = np.zeros((3, 1))
+        with pytest.raises(NumericalError, match="step 0"):
+            straight_path_deviation(field, x0, x0 + 1.0, SMALL)

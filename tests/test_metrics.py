@@ -7,7 +7,6 @@ from otconvert.discrete import SinkhornConfig
 from otconvert.errors import CapacityError, DomainError, ValidationError
 from otconvert.metrics import (
     GaussianStats,
-    evaluate_sets,
     frechet_distance,
     gaussian_fit,
     gaussian_ot_map,
@@ -263,19 +262,14 @@ def test_theorem1_sinkhorn_route():
     assert holds
 
 
-# ------------------------------------------------------------- report
+# ------------------------------------------------------------- auto mode
 
 
-def test_evaluate_sets_bundles_both_metrics():
+def test_w2_default_mode_is_exact_for_equal_small_sets_else_sinkhorn():
     rng = make_rng(52, "root")
     x = rng.normal(size=(16, 3))
     y = rng.normal(size=(16, 3)) + 0.5
-    rep = evaluate_sets(x, y)
-    assert rep.w2_squared == pytest.approx(
-        w2_squared_empirical(x, y, mode="exact_small"))
-    assert rep.frechet == pytest.approx(frechet_distance(x, y))
-    assert rep.n_source == rep.n_target == 16
-    assert "exact_small" in rep.method_notes
-    rep2 = evaluate_sets(x, y[:10])
-    assert "sinkhorn" in rep2.method_notes
-    assert rep2.w2_squared >= 0.0 and rep2.frechet >= 0.0
+    assert w2_squared_empirical(x, y) == w2_squared_empirical(
+        x, y, mode="exact_small")
+    assert w2_squared_empirical(x, y[:10]) == w2_squared_empirical(
+        x, y[:10], mode="sinkhorn")
