@@ -259,6 +259,9 @@ def cmd_convert(resolved: dict) -> int:
     method = resolved["method"]
     if method not in ("sinkvc", "knn", "fmvc"):
         raise ValidationError(f"unknown method {resolved['method']!r}")
+    if method != "fmvc" and resolved["cost"] != "cosine_distance":
+        raise ValidationError(f"--cost applies only to --method fmvc; {method}"
+                              " always uses cosine_distance")
 
     report_extra = {}
     if method == "sinkvc":

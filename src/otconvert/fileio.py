@@ -22,13 +22,17 @@ Model file layout:
         1 byte   network flags (bit 0: time-conditioned)
         u32      condition input width
     u64      total parameter count
-    payload  parameters as float64, weights/biases interleaved per layer
+    payload  each network's ``MlpModel.params`` as float64, in network order
+
+Reading checks each network's architecture the way ``init_mlp`` does and
+checks that it fits the file's kind.
 
 All writes are atomic: a temp file in the target directory, then rename.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .nn import MlpModel
+from .nn import MlpModel, param_layout
 
 FEATURE_MAGIC = b"OTFEAT01"
 MODEL_MAGIC = b"OTMODL01"
@@ -46,6 +50,7 @@ _DTYPE_NAMES = {"float64": 0, "float32": 1}
 _ACTIVATION_CODES = {"relu": 0, "tanh": 1}
 _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
 MODEL_KINDS = ("velocity_field", "not_pair")
+_NETWORK_COUNTS = {"velocity_field": 1, "not_pair": 2}
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -130,23 +135,15 @@ def _pack_network(model: MlpModel) -> bytes:
     dims = model.layer_dims
     if len(dims) > 0xFF:
         raise ValidationError("too many layers to serialize")
-    out = struct.pack("<B", len(dims))
-    out += struct.pack(f"<{len(dims)}I", *dims)
-    out += struct.pack("<B", _ACTIVATION_CODES[model.activation])
-    out += struct.pack("<B", 1 if model.time_conditioned else 0)
-    out += struct.pack("<I", model.condition_dim)
-    return out
+    return struct.pack(f"<B{len(dims)}IBBI", len(dims), *dims,
+                       _ACTIVATION_CODES[model.activation],
+                       1 if model.time_conditioned else 0, model.condition_dim)
 
 
 def _unpack_network(blob, offset, path):
     (n_dims,) = struct.unpack_from("<B", blob, offset)
-    offset += 1
-    dims = struct.unpack_from(f"<{n_dims}I", blob, offset)
-    offset += 4 * n_dims
-    act_code, net_flags = struct.unpack_from("<BB", blob, offset)
-    offset += 2
-    (condition_dim,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    record = f"<{n_dims}IBBI"
+    *dims, act_code, net_flags, condition_dim = struct.unpack_from(record, blob, offset + 1)
     if act_code not in _ACTIVATION_NAMES:
         raise ValidationError(f"{path}: unknown activation code {act_code}")
     return {
@@ -154,62 +151,24 @@ def _unpack_network(blob, offset, path):
         "activation": _ACTIVATION_NAMES[act_code],
         "time_conditioned": bool(net_flags & 1),
         "condition_dim": int(condition_dim),
-    }, offset
+    }, offset + 1 + struct.calcsize(record)
 
 
-def _network_param_count(desc) -> int:
-    dims = desc["layer_dims"]
-    total = 0
-    fan_in = dims[0]
-    if desc["time_conditioned"]:
-        fan_in += 1
-    fan_in += desc["condition_dim"]
-    for out_dim in dims[1:]:
-        total += fan_in * out_dim + out_dim
-        fan_in = out_dim
-    return total
-
-
-def _flatten_params(model: MlpModel) -> np.ndarray:
-    return np.concatenate([p.reshape(-1) for p in model.parameters()])
-
-
-def _rebuild_model(desc, flat: np.ndarray) -> MlpModel:
-    dims = desc["layer_dims"]
-    weights = []
-    biases = []
-    cursor = 0
-    fan_in = dims[0] + (1 if desc["time_conditioned"] else 0) + desc["condition_dim"]
-    for out_dim in dims[1:]:
-        w = flat[cursor:cursor + fan_in * out_dim].reshape(fan_in, out_dim).copy()
-        cursor += fan_in * out_dim
-        b = flat[cursor:cursor + out_dim].copy()
-        cursor += out_dim
-        weights.append(w)
-        biases.append(b)
-        fan_in = out_dim
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases,
-                    activation=desc["activation"],
-                    time_conditioned=desc["time_conditioned"],
-                    condition_dim=desc["condition_dim"])
-
-
-def _write_model_file(path, kind_code, model_flags, networks, config_text):
-    blob = MODEL_MAGIC + struct.pack("<BB", kind_code, model_flags)
+def _write_model_file(path, kind, model_flags, networks, config_text):
+    blob = MODEL_MAGIC + struct.pack("<BB", MODEL_KINDS.index(kind), model_flags)
     config_bytes = config_text.encode("utf-8")
     blob += struct.pack("<I", len(config_bytes)) + config_bytes
     blob += struct.pack("<B", len(networks))
-    flats = []
     for model in networks:
         blob += _pack_network(model)
-        flats.append(_flatten_params(model))
-    flat = np.concatenate(flats) if flats else np.empty(0)
+    flat = np.concatenate([model.params for model in networks])
     blob += struct.pack("<Q", flat.size)
     blob += np.ascontiguousarray(flat, dtype="<f8").tobytes()
     atomic_write_bytes(path, blob)
 
 
-def _read_model_file(path):
+def _read_model_file(path, kind):
+    """Read a model file of the given kind: (model flags, networks, config text)."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if blob[:8] != MODEL_MAGIC:
@@ -218,6 +177,8 @@ def _read_model_file(path):
         kind_code, model_flags = struct.unpack_from("<BB", blob, 8)
         if kind_code >= len(MODEL_KINDS):
             raise ValidationError(f"{path}: unknown model kind code {kind_code}")
+        if MODEL_KINDS[kind_code] != kind:
+            raise ValidationError(f"{path}: holds a {MODEL_KINDS[kind_code]}, not a {kind}")
         offset = 10
         (config_len,) = struct.unpack_from("<I", blob, offset)
         offset += 4
@@ -225,6 +186,9 @@ def _read_model_file(path):
         offset += config_len
         (n_networks,) = struct.unpack_from("<B", blob, offset)
         offset += 1
+        if n_networks != _NETWORK_COUNTS[kind]:
+            raise ValidationError(f"{path}: a {kind} holds {_NETWORK_COUNTS[kind]}"
+                                  f" networks, the file lists {n_networks}")
         descs = []
         for _ in range(n_networks):
             desc, offset = _unpack_network(blob, offset, path)
@@ -237,52 +201,57 @@ def _read_model_file(path):
         ) from None
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: config echo is not valid UTF-8") from None
-    expected = sum(_network_param_count(d) for d in descs)
-    if param_count != expected:
+    try:
+        sizes = [sum(math.prod(shape) for shape in param_layout(**desc))
+                 for desc in descs]
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if param_count != sum(sizes):
         raise ValidationError(
             f"{path}: parameter payload holds {param_count} values,"
-            f" architecture needs {expected}"
+            f" architecture needs {sum(sizes)}"
         )
     if len(blob) - offset != 8 * param_count:
         raise ValidationError(f"{path}: truncated parameter payload")
     flat = np.frombuffer(blob, dtype="<f8", count=param_count, offset=offset)
     models = []
-    cursor = 0
-    for desc in descs:
-        count = _network_param_count(desc)
-        models.append(_rebuild_model(desc, flat[cursor:cursor + count]))
-        cursor += count
-    return MODEL_KINDS[kind_code], model_flags, models, config_text
+    for desc, size in zip(descs, sizes):
+        models.append(MlpModel(params=flat[:size].astype(np.float64), **desc))
+        flat = flat[size:]
+    return model_flags, models, config_text
 
 
 def write_velocity_field(path, field, config_text: str = ""):
     """Serialize a trained velocity field; config_text is echoed verbatim."""
-    _write_model_file(path, 0, 0, [field.model], config_text)
+    _write_model_file(path, "velocity_field", 0, [field.model], config_text)
 
 
 def read_velocity_field(path):
     from .flow import VelocityField
 
-    kind, _, models, config_text = _read_model_file(path)
-    if kind != "velocity_field":
-        raise ValidationError(f"{path}: holds a {kind}, not a velocity_field")
-    model = models[0]
-    return VelocityField(model=model, dim=model.layer_dims[0]), config_text
+    _, (model,), config_text = _read_model_file(path, "velocity_field")
+    if (not model.time_conditioned or model.condition_dim
+            or model.output_dim != model.input_dim):
+        raise ValidationError(f"{path}: a velocity field needs a time-conditioned d->d"
+                              f" network with no condition input, got dims {model.layer_dims},"
+                              f" condition width {model.condition_dim}")
+    return VelocityField(model=model, dim=model.input_dim), config_text
 
 
 def write_not_pair(path, pair, config_text: str = ""):
     flags = 1 if pair.nonpositivity_transform else 0
-    _write_model_file(path, 1, flags, [pair.map_model, pair.potential_model],
+    _write_model_file(path, "not_pair", flags, [pair.map_model, pair.potential_model],
                       config_text)
 
 
 def read_not_pair(path):
     from .neural import NotModelPair
 
-    kind, flags, models, config_text = _read_model_file(path)
-    if kind != "not_pair":
-        raise ValidationError(f"{path}: holds a {kind}, not a not_pair")
-    pair = NotModelPair(map_model=models[0], potential_model=models[1],
+    flags, (map_model, potential_model), config_text = _read_model_file(path, "not_pair")
+    if potential_model.output_dim != 1:
+        raise ValidationError(f"{path}: the potential network must have output"
+                              f" width 1, got {potential_model.output_dim}")
+    pair = NotModelPair(map_model=map_model, potential_model=potential_model,
                         nonpositivity_transform=bool(flags & 1))
     return pair, config_text
 
@@ -405,22 +374,21 @@ def export_csv(path, values):
 def import_csv(path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = [float(part) for part in line.split(",")]
-            except ValueError:
-                raise ValidationError(f"{path}: line {lineno} is not numeric")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValidationError(
-                    f"{path}: line {lineno} has {len(row)} columns, expected {width}"
-                )
-            rows.append(row)
+    for lineno, raw in enumerate(read_text_file(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            row = [float(part) for part in line.split(",")]
+        except ValueError:
+            raise ValidationError(f"{path}: line {lineno} is not numeric")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValidationError(
+                f"{path}: line {lineno} has {len(row)} columns, expected {width}"
+            )
+        rows.append(row)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)

@@ -87,8 +87,7 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
 
     model = init_mlp((dim, *cfg.hidden_dims, dim), rng, activation="relu",
                      time_conditioned=True)
-    params = model.parameters()
-    opt = adam_init(params, cfg.learning_rate)
+    opt = adam_init(model.params, cfg.learning_rate)
     trace: list[float] = []
     for iteration in range(cfg.iterations):
         x0, x1 = pair_sampler(cfg.batch_size, rng)
@@ -108,7 +107,7 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
         trace.append(loss)
         grads, _ = mlp_backward(model, xt, t=t, upstream=2.0 * diff / cfg.batch_size,
                                 cache=cache)
-        adam_step(opt, params, grads)
+        adam_step(opt, model.params, grads)
     return VelocityField(model=model, dim=dim, training_loss_trace=trace)
 
 

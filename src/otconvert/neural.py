@@ -198,8 +198,9 @@ def _check_mode(pair: NotModelPair, cfg: NotConfig):
 def not_loss_potential(pair: NotModelPair, x, y, s, cfg: NotConfig):
     """Potential objective and its gradients w.r.t. potential parameters.
 
-    Returns (loss, grads). The potential ascends this loss; callers feed the
-    negated gradients to a minimizer.
+    Returns (loss, grads), grads flat in the ``potential_model.params``
+    layout. The potential ascends this loss; callers feed the negated
+    gradients to a minimizer.
     """
     _check_mode(pair, cfg)
     x = np.asarray(x, dtype=np.float64)
@@ -213,12 +214,11 @@ def not_loss_potential(pair: NotModelPair, x, y, s, cfg: NotConfig):
     loss = float(w_eff * f_y.mean() - f_tx.mean())
     if not np.isfinite(loss):
         raise DivergenceError("potential loss became non-finite")
-    grads = [gy + gt for gy, gt in zip(grads_y, grads_tx)]
-    return loss, grads
+    return loss, grads_y + grads_tx
 
 
 def not_loss_map(pair: NotModelPair, x, s, cfg: NotConfig):
-    """Map objective and its gradients w.r.t. map parameters (to descend)."""
+    """Map objective and its flat ``map_model.params`` gradient (to descend)."""
     _check_mode(pair, cfg)
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -298,8 +298,7 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
     checkpoint; returning True ends training early.
     """
     pair = _init_pair(dataset.dim, dataset.condition_dim, cfg, rng)
-    pot_params = pair.potential_model.parameters()
-    map_params = pair.map_model.parameters()
+    pot_params, map_params = pair.potential_model.params, pair.map_model.params
     pot_opt = adam_init(pot_params, cfg.potential_lr, weight_decay=cfg.weight_decay)
     map_opt = adam_init(map_params, cfg.map_lr, weight_decay=cfg.weight_decay)
     trace = TrainTrace()
@@ -312,7 +311,7 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
         x = spec.source_sampler(cfg.batch_size, rng)
         y = spec.target_sampler(cfg.batch_size, rng)
         loss_f, pot_grads = not_loss_potential(pair, x, y, spec.vector, cfg)
-        adam_step(pot_opt, pot_params, [-g for g in pot_grads])
+        adam_step(pot_opt, pot_params, -pot_grads)
         loss_t = 0.0
         for _ in range(cfg.inner_steps):
             x = spec.source_sampler(cfg.batch_size, rng)
@@ -387,14 +386,13 @@ def duality_gap_estimate(pair: NotModelPair, dataset: ConditionalDataset,
         potential_model=pair.potential_model,
         nonpositivity_transform=pair.nonpositivity_transform,
     )
-    params = fresh_map.parameters()
-    opt = adam_init(params, cfg.map_lr, weight_decay=cfg.weight_decay)
+    opt = adam_init(fresh_map.params, cfg.map_lr, weight_decay=cfg.weight_decay)
     n_cond = len(dataset.conditions)
     for _ in range(probe_iterations):
         spec = dataset.conditions[int(rng.integers(n_cond))]
         x = spec.source_sampler(cfg.batch_size, rng)
         _, grads = not_loss_map(probe_pair, x, spec.vector, cfg)
-        adam_step(opt, params, grads)
+        adam_step(opt, fresh_map.params, grads)
     fresh_map_loss = _map_only_loss(probe_pair, dataset, cfg, eval_batches)
     epsilon1 = current_map_loss - fresh_map_loss
 

@@ -6,10 +6,13 @@ central finite differences. Hidden layers apply the activation; the final
 layer is always a linear readout. The first layer's input may be augmented
 with a scalar time column (``time_conditioned``) and/or a condition vector
 (``condition_dim`` > 0); those extras widen the first weight matrix only.
+Each network keeps all its parameters in one flat vector, and gradients and
+Adam updates work on vectors in that same layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,16 +22,55 @@ from .errors import NumericalError, ShapeError, ValidationError
 ACTIVATIONS = ("relu", "tanh")
 
 
+def param_layout(layer_dims, activation="relu", time_conditioned=False,
+                 condition_dim=0) -> list[tuple[int, ...]]:
+    """Check an architecture; return its parameter shapes [W0, b0, W1, b1, ...].
+
+    This is the ``params`` layout. The time and condition columns widen W0 only.
+    """
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2:
+        raise ValidationError("layer_dims needs at least input and output sizes")
+    if any(d < 1 for d in dims):
+        raise ValidationError(f"layer dims must be positive, got {dims}")
+    if activation not in ACTIVATIONS:
+        raise ValidationError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    fan_in = dims[0] + (1 if time_conditioned else 0) + int(condition_dim)
+    shapes = []
+    for fan_out in dims[1:]:
+        shapes += [(fan_in, fan_out), (fan_out,)]
+        fan_in = fan_out
+    return shapes
+
+
 @dataclass
 class MlpModel:
-    """Feedforward network: layer_dims = (input, hidden..., output)."""
+    """Feedforward network: layer_dims = (input, hidden..., output).
+
+    All parameters live in one float64 vector ``params`` (zeros if not
+    given); ``weights[i]`` and ``biases[i]`` are views into it.
+    """
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray | None = None
     activation: str = "relu"
     time_conditioned: bool = False
     condition_dim: int = 0
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.layer_dims = tuple(int(d) for d in self.layer_dims)
+        self.condition_dim = int(self.condition_dim)
+        self._shapes = param_layout(self.layer_dims, self.activation,
+                                    self.time_conditioned, self.condition_dim)
+        size = sum(math.prod(shape) for shape in self._shapes)
+        if self.params is None:
+            self.params = np.zeros(size)
+        if self.params.dtype != np.float64 or self.params.shape != (size,):
+            raise ShapeError(f"params must be {size} float64 values, got {self.params.shape}")
+        views = self.split(self.params)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def input_dim(self) -> int:
@@ -38,55 +80,35 @@ class MlpModel:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views into a vector in ``params`` layout, interleaved [W0, b0, ...]."""
+        views, offset = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            views.append(flat[offset:offset + size].reshape(shape))
+            offset += size
+        return views
+
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list, interleaved [W0, b0, W1, b1, ...]."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        """Per-layer views into ``params``, interleaved [W0, b0, W1, b1, ...]."""
+        return self.split(self.params)
 
 
-def init_mlp(
-    layer_dims,
-    rng: np.random.Generator,
-    activation: str = "relu",
-    time_conditioned: bool = False,
-    condition_dim: int = 0,
-) -> MlpModel:
+def init_mlp(layer_dims, rng: np.random.Generator, activation: str = "relu",
+             time_conditioned: bool = False, condition_dim: int = 0) -> MlpModel:
     """He-style initialisation: std = gain / sqrt(fan_in), zero biases.
 
     gain is sqrt(2) for relu hidden layers, 1 for tanh and for the linear
     readout.
     """
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2:
-        raise ValidationError("layer_dims needs at least input and output sizes")
-    if any(d < 1 for d in dims):
-        raise ValidationError(f"layer dims must be positive, got {dims}")
-    if activation not in ACTIVATIONS:
-        raise ValidationError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    extras = (1 if time_conditioned else 0) + int(condition_dim)
+    model = MlpModel(layer_dims, activation=activation,
+                     time_conditioned=time_conditioned, condition_dim=condition_dim)
     hidden_gain = np.sqrt(2.0) if activation == "relu" else 1.0
-    n_layers = len(dims) - 1
-    weights, biases = [], []
-    for layer in range(n_layers):
-        fan_in = dims[layer] + (extras if layer == 0 else 0)
-        fan_out = dims[layer + 1]
-        gain = hidden_gain if layer < n_layers - 1 else 1.0
-        weights.append(rng.normal(0.0, gain / np.sqrt(fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        activation=activation,
-        time_conditioned=time_conditioned,
-        condition_dim=int(condition_dim),
-    )
+    last = len(model.weights) - 1
+    for layer, w in enumerate(model.weights):
+        gain = hidden_gain if layer < last else 1.0
+        w[...] = rng.normal(0.0, gain / np.sqrt(w.shape[0]), size=w.shape)
+    return model
 
 
 def _augment_input(model: MlpModel, x, t, s) -> np.ndarray:
@@ -125,25 +147,23 @@ def _augment_input(model: MlpModel, x, t, s) -> np.ndarray:
 
 
 def _forward_cached(model: MlpModel, x, t=None, s=None):
-    """Forward pass returning (output, cache) for reuse by the backward pass."""
-    a = _augment_input(model, x, t, s)
-    n_layers = len(model.weights)
-    pre: list[np.ndarray] = []    # pre-activations z_l
-    post: list[np.ndarray] = [a]  # layer inputs a_l (post-activation)
-    for layer in range(n_layers):
-        w, b = model.weights[layer], model.biases[layer]
-        if post[-1].shape[1] != w.shape[0]:
-            raise ShapeError(
-                f"layer {layer} expects {w.shape[0]} inputs, got {post[-1].shape[1]}"
-            )
-        z = post[-1] @ w + b
-        pre.append(z)
-        if layer < n_layers - 1:
+    """Forward pass returning (output, cache) for reuse by the backward pass.
+
+    The cache lists each layer's input, then the output. Bias and activation
+    are applied in place, so each layer allocates one array.
+    """
+    post = [_augment_input(model, x, t, s)]
+    last = len(model.weights) - 1
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = post[-1] @ w
+        z += b
+        if layer < last:
             if model.activation == "relu":
-                post.append(np.maximum(z, 0.0))
+                np.maximum(z, 0.0, out=z)
             else:
-                post.append(np.tanh(z))
-    return pre[-1], (pre, post)
+                np.tanh(z, out=z)
+        post.append(z)
+    return post[-1], post
 
 
 def mlp_forward(model: MlpModel, x, t=None, s=None) -> np.ndarray:
@@ -153,90 +173,98 @@ def mlp_forward(model: MlpModel, x, t=None, s=None) -> np.ndarray:
 
 
 def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None):
-    """Gradients of <upstream, forward(x)> w.r.t. every parameter and x.
+    """Gradients of <upstream, forward(x)> w.r.t. ``model.params`` and x.
 
-    Returns (param_grads, x_grad) where param_grads matches
-    ``model.parameters()`` order and x_grad covers the x columns only (the
-    time/condition columns of the first layer are dropped).
+    Returns (grad, x_grad): grad is a flat vector in the ``params`` layout;
+    x_grad covers the x columns only, not the time/condition columns.
     """
     if upstream is None:
         raise ShapeError("upstream gradient is required")
     if cache is None:
         _, cache = _forward_cached(model, x, t, s)
-    pre, post = cache
+    post = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != pre[-1].shape:
+    if upstream.shape != post[-1].shape:
         raise ShapeError(
-            f"upstream gradient shape {upstream.shape} != output shape {pre[-1].shape}"
+            f"upstream gradient shape {upstream.shape} != output shape {post[-1].shape}"
         )
-    n_layers = len(model.weights)
-    w_grads: list[np.ndarray] = [None] * n_layers
-    b_grads: list[np.ndarray] = [None] * n_layers
+    grad = np.empty_like(model.params)
+    views = model.split(grad)  # [W0, b0, W1, b1, ...]
     g = upstream
-    for layer in range(n_layers - 1, -1, -1):
-        w_grads[layer] = post[layer].T @ g
-        b_grads[layer] = g.sum(axis=0)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        np.matmul(post[layer].T, g, out=views[2 * layer])
+        np.sum(g, axis=0, out=views[2 * layer + 1])
         g = g @ model.weights[layer].T
         if layer > 0:
-            z = pre[layer - 1]
+            h = post[layer]  # activation of the layer below
             if model.activation == "relu":
-                g = g * (z > 0.0)
+                g = g * (h > 0.0)
             else:
-                g = g * (1.0 - np.tanh(z) ** 2)
-    x_grad = g[:, : model.input_dim]
-    grads: list[np.ndarray] = []
-    for wg, bg in zip(w_grads, b_grads):
-        grads.append(wg)
-        grads.append(bg)
-    return grads, x_grad
+                g = g * (1.0 - h ** 2)
+    return grad, g[:, : model.input_dim]
 
 
 @dataclass
 class AdamState:
-    """Decoupled-weight-decay Adam (AdamW) state for one parameter list."""
+    """Decoupled-weight-decay Adam (AdamW) state for one flat parameter vector.
+
+    ``buffers`` is one (4, n) block: first moment, second moment and two
+    scratch rows, so a step allocates nothing.
+    """
 
     learning_rate: float
-    betas: tuple[float, float] = (0.9, 0.999)
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
+    betas: tuple[float, float]
+    epsilon: float
+    weight_decay: float
+    buffers: np.ndarray
     step: int = 0
-    first_moments: list[np.ndarray] = field(default_factory=list)
-    second_moments: list[np.ndarray] = field(default_factory=list)
 
 
 def adam_init(params, learning_rate, betas=(0.9, 0.999), epsilon=1e-8,
               weight_decay=0.0) -> AdamState:
+    """Zeroed AdamW state for the flat vector ``params``."""
     return AdamState(
         learning_rate=float(learning_rate),
         betas=(float(betas[0]), float(betas[1])),
         epsilon=float(epsilon),
         weight_decay=float(weight_decay),
-        first_moments=[np.zeros_like(p) for p in params],
-        second_moments=[np.zeros_like(p) for p in params],
+        buffers=np.zeros((4, params.size)),
     )
 
 
-def adam_step(state: AdamState, params, grads):
-    """One AdamW update. Mutates params and state in place; returns both."""
-    if len(params) != len(state.first_moments) or len(params) != len(grads):
-        raise ShapeError("params/grads do not match the optimizer state")
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
+    """One AdamW update of the flat vector params from the flat vector grads.
+
+    Mutates params and state in place; returns both. A non-finite gradient
+    raises NumericalError naming its flat index.
+    """
+    m, v, t1, t2 = state.buffers
+    if params.shape != m.shape or grads.shape != m.shape:
+        raise ShapeError(f"params {params.shape} and grads {grads.shape} do not"
+                         f" match the optimizer state {m.shape}")
+    finite = np.isfinite(grads)
+    if not finite.all():
+        raise NumericalError(f"non-finite gradient at flat index {np.argmin(finite)}")
     b1, b2 = state.betas
     state.step += 1
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     lr = state.learning_rate
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient {i} has shape {g.shape}, parameter {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient at parameter index {i}")
-        m = state.first_moments[i]
-        v = state.second_moments[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        if state.weight_decay:
-            p -= lr * state.weight_decay * p
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    m *= b1
+    np.multiply(grads, 1.0 - b1, out=t1)
+    m += t1
+    v *= b2
+    np.multiply(grads, 1.0 - b2, out=t1)
+    t1 *= grads
+    v += t1
+    if state.weight_decay:
+        np.multiply(params, lr * state.weight_decay, out=t1)
+        params -= t1
+    np.divide(m, bc1, out=t1)
+    t1 *= lr
+    np.divide(v, bc2, out=t2)
+    np.sqrt(t2, out=t2)
+    t2 += state.epsilon
+    t1 /= t2
+    params -= t1
     return params, state

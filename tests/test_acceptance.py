@@ -115,13 +115,13 @@ def test_03_gradients_match_finite_differences():
                 _, pot_grads = not_loss_potential(pair, x, y, s, cfg)
                 numeric = _flat_fd_gradient(
                     lambda: not_loss_potential(pair, x, y, s, cfg)[0],
-                    pair.potential_model.parameters())
-                _assert_grads_close(pot_grads, numeric)
+                    [pair.potential_model.params])
+                _assert_grads_close([pot_grads], numeric)
                 _, map_grads = not_loss_map(pair, x, s, cfg)
                 numeric = _flat_fd_gradient(
                     lambda: not_loss_map(pair, x, s, cfg)[0],
-                    pair.map_model.parameters())
-                _assert_grads_close(map_grads, numeric)
+                    [pair.map_model.params])
+                _assert_grads_close([map_grads], numeric)
 
             # interpolant-regression loss of the velocity field
             model = init_mlp((2, 5, 2), rng, activation="tanh",
@@ -137,8 +137,8 @@ def test_03_gradients_match_finite_differences():
             diff = mlp_forward(model, xt, t=t) - target
             analytic, _ = mlp_backward(model, xt, t=t,
                                        upstream=2.0 * diff / len(xt))
-            numeric = _flat_fd_gradient(flow_loss, model.parameters())
-            _assert_grads_close(analytic, numeric)
+            numeric = _flat_fd_gradient(flow_loss, [model.params])
+            _assert_grads_close([analytic], numeric)
 
 
 NOT_RECOVERY = dict(hidden_dims=(64, 64), batch_size=128, lr_decay="cosine",

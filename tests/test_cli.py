@@ -158,6 +158,27 @@ class TestConvert:
         assert np.array_equal(converted.values, read_feature_file(src).values)
         assert converted.tag == "test-frames"  # source tag carried through
 
+    @pytest.mark.parametrize("method", ["sinkvc", "knn"])
+    def test_cost_other_than_cosine_rejected_outside_fmvc(self, tmp_path, method):
+        src = tmp_path / "src.otf"
+        make_frames(src, n=20, d=4, seed=8)
+        argv = ["convert", "--source", src, "--reference", src,
+                "--method", method, "--out", tmp_path / "out.otf"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "otconvert", *(str(a) for a in argv),
+             "--cost", "squared_euclidean"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--cost applies only to --method fmvc" in lines[0]
+        assert not (tmp_path / "out.otf").exists()
+        # the default cost, as recorded in .run.cfg, still runs
+        proc = subprocess.run(
+            [sys.executable, "-m", "otconvert", *(str(a) for a in argv),
+             "--cost", "cosine_distance"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "convert", "--source",
                                tmp_path / "nope.otf", "--reference",

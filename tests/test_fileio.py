@@ -1,5 +1,6 @@
 """File formats: byte-level layout, round trips, and config parsing."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -217,6 +218,87 @@ class TestModelFile:
         with pytest.raises(ValidationError, match="magic"):
             read_velocity_field(path)
 
+    def test_bytes_match_the_recorded_digests(self, tmp_path):
+        # init draws only rng.normal, so these bytes do not depend on BLAS
+        field_path = tmp_path / "field.otm"
+        model = init_mlp((3, 8, 3), make_rng(4, "init"), time_conditioned=True)
+        write_velocity_field(field_path, VelocityField(model=model, dim=3),
+                             config_text="seed = 4\n")
+        pair_path = tmp_path / "pair.otm"
+        rng = make_rng(8, "init")
+        pair = NotModelPair(
+            map_model=init_mlp((2, 5, 2), rng, condition_dim=2),
+            potential_model=init_mlp((2, 5, 1), rng, activation="tanh",
+                                     condition_dim=2),
+            nonpositivity_transform=True,
+        )
+        write_not_pair(pair_path, pair, config_text="w = 12.0\n")
+        assert hashlib.sha256(field_path.read_bytes()).hexdigest() == (
+            "4ba8940c6f06259312aaf914e992e4f429b5fe0823a7f5636d09c1928b0cd40b")
+        assert hashlib.sha256(pair_path.read_bytes()).hexdigest() == (
+            "0c39bbd8ff9756ae3f0e0bf3dd3e80d75f21182e7a6bb47accbce703aaa3a9d4")
+
+
+def _model_blob(kind, networks, param_count=None):
+    """Hand-built .otm bytes: networks are (dims, activation code, flags, cond)."""
+    blob = b"OTMODL01" + struct.pack("<BBIB", kind, 0, 0, len(networks))
+    needed = 0
+    for dims, act, flags, cond in networks:
+        blob += struct.pack(f"<B{len(dims)}IBBI", len(dims), *dims, act, flags, cond)
+        fan_in = dims[0] + (flags & 1) + cond
+        for out_dim in dims[1:]:
+            needed += fan_in * out_dim + out_dim
+            fan_in = out_dim
+    count = needed if param_count is None else param_count
+    return blob + struct.pack("<Q", count) + bytes(8 * count)
+
+
+class TestModelArchitectureChecks:
+    @pytest.mark.parametrize("dims", [(3,), (2, 0, 2)])
+    def test_bad_layer_dims_rejected_naming_the_file(self, tmp_path, dims):
+        path = tmp_path / "bad.otm"
+        path.write_bytes(_model_blob(0, [(dims, 0, 1, 0)]))
+        with pytest.raises(ValidationError, match="bad.otm: layer"):
+            read_velocity_field(path)
+
+    def test_huge_dims_rejected_before_allocation(self, tmp_path):
+        path = tmp_path / "huge.otm"
+        big = 2**32 - 1
+        path.write_bytes(_model_blob(0, [((big, big, big), 0, 1, 0)], param_count=4))
+        with pytest.raises(ValidationError, match="huge.otm: .* architecture needs"):
+            read_velocity_field(path)
+
+    @pytest.mark.parametrize("network", [
+        ((2, 4, 2), 0, 0, 0),  # not time-conditioned
+        ((2, 4, 3), 0, 1, 0),  # output width differs from input width
+        ((2, 4, 2), 0, 1, 1),  # takes a condition input
+    ])
+    def test_velocity_field_kind_checked(self, tmp_path, network):
+        path = tmp_path / "field.otm"
+        path.write_bytes(_model_blob(0, [network]))
+        with pytest.raises(ValidationError, match="field.otm: a velocity field needs"):
+            read_velocity_field(path)
+
+    def test_potential_output_width_checked(self, tmp_path):
+        path = tmp_path / "pair.otm"
+        path.write_bytes(_model_blob(1, [((2, 4, 2), 1, 0, 1), ((2, 4, 2), 1, 0, 1)]))
+        with pytest.raises(ValidationError, match="pair.otm: the potential network"):
+            read_not_pair(path)
+
+    @pytest.mark.parametrize("kind,count", [(0, 2), (1, 1)])
+    def test_network_count_checked(self, tmp_path, kind, count):
+        path = tmp_path / "model.otm"
+        path.write_bytes(_model_blob(kind, [((2, 4, 2), 0, 1, 0)] * count))
+        reader = read_velocity_field if kind == 0 else read_not_pair
+        with pytest.raises(ValidationError, match="model.otm: a .* holds"):
+            reader(path)
+
+    def test_well_formed_hand_built_file_reads(self, tmp_path):
+        path = tmp_path / "field.otm"
+        path.write_bytes(_model_blob(0, [((2, 4, 2), 1, 1, 0)]))
+        field, _ = read_velocity_field(path)
+        assert field.dim == 2 and field.model.params.size == 3 * 4 + 4 + 4 * 2 + 2
+
 
 class TestKvConfig:
     def test_parse_basics(self):
@@ -285,4 +367,10 @@ class TestCsv:
         path = tmp_path / "e.csv"
         path.write_text("\n")
         with pytest.raises(ValidationError, match="no data"):
+            import_csv(path)
+
+    def test_rejects_undecodable_bytes_naming_the_file(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_bytes(b"1,2\n\xff,4\n")
+        with pytest.raises(ValidationError, match="u.csv: not valid UTF-8"):
             import_csv(path)

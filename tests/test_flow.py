@@ -24,26 +24,17 @@ MID = FlowConfig(hidden_dims=(64, 64), batch_size=256, iterations=800)
 def _constant_field(c):
     """Network that outputs the constant vector c regardless of input."""
     d = len(c)
-    w0 = np.zeros((d + 1, 4))  # +1 input column for time
-    w1 = np.zeros((4, d))
-    return VelocityField(
-        model=MlpModel(layer_dims=(d, 4, d), weights=[w0, w1],
-                       biases=[np.zeros(4), np.array(c, dtype=np.float64)],
-                       activation="relu", time_conditioned=True),
-        dim=d,
-    )
+    model = MlpModel(layer_dims=(d, 4, d), activation="relu", time_conditioned=True)
+    model.biases[1][...] = c  # all weights stay zero
+    return VelocityField(model=model, dim=d)
 
 
 def _linear_field_1d():
     """Network computing v(t, x) = relu(x) - relu(-x) = x (1-d)."""
-    w0 = np.array([[1.0, -1.0], [0.0, 0.0]])  # second row: time input, unused
-    w1 = np.array([[1.0], [-1.0]])
-    return VelocityField(
-        model=MlpModel(layer_dims=(1, 2, 1), weights=[w0, w1],
-                       biases=[np.zeros(2), np.zeros(1)],
-                       activation="relu", time_conditioned=True),
-        dim=1,
-    )
+    model = MlpModel(layer_dims=(1, 2, 1), activation="relu", time_conditioned=True)
+    model.weights[0][...] = [[1.0, -1.0], [0.0, 0.0]]  # second row: time input, unused
+    model.weights[1][...] = [[1.0], [-1.0]]
+    return VelocityField(model=model, dim=1)
 
 
 class TestIntegration:

@@ -33,8 +33,8 @@ def _linear_net(weight_rows, bias, condition_dim=1):
     """Single linear layer: out = x @ w + b, condition columns welded in."""
     w = np.array(weight_rows, dtype=np.float64)
     in_dim = w.shape[0] - condition_dim
-    return MlpModel(layer_dims=(in_dim, w.shape[1]), weights=[w],
-                    biases=[np.array(bias, dtype=np.float64)],
+    return MlpModel(layer_dims=(in_dim, w.shape[1]),
+                    params=np.concatenate([w.ravel(), np.array(bias, dtype=np.float64)]),
                     condition_dim=condition_dim)
 
 
@@ -59,7 +59,7 @@ class TestLossValues:
         loss, grads = not_loss_potential(pair, x, y, S0, NotConfig())
         # mean f(y) = 2*1.0 = 2 ; T(x) = [3.5, 6.5], mean f(Tx) = 10
         assert loss == pytest.approx(-8.0, abs=1e-12)
-        assert len(grads) == len(pot_model.parameters())
+        assert grads.shape == pot_model.params.shape
 
     def test_plain_map_loss_by_hand(self):
         map_model, pot_model, x, y = _hand_setup()
@@ -67,7 +67,7 @@ class TestLossValues:
         loss, grads = not_loss_map(pair, x, S0, NotConfig())
         # half mean (Tx-x)^2 = (6.25+20.25)/4 = 6.625 ; mean f(Tx) = 10
         assert loss == pytest.approx(6.625 - 10.0, abs=1e-12)
-        assert len(grads) == len(map_model.parameters())
+        assert grads.shape == map_model.params.shape
 
     def test_extremal_losses_by_hand(self):
         map_model, pot_model, x, y = _hand_setup()
@@ -95,16 +95,16 @@ class TestLossValues:
                        [0.0, 0.0, 1.0, -1.0],
                        [0.0, 0.0, 0.0, 0.0]])
         w1 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        ident = MlpModel(layer_dims=(2, 4, 2), weights=[w0, w1],
-                         biases=[np.zeros(4), np.zeros(2)], condition_dim=1)
+        ident = MlpModel(layer_dims=(2, 4, 2), condition_dim=1)
+        ident.weights[0][...] = w0
+        ident.weights[1][...] = w1
         pot = init_mlp((2, 8, 1), make_rng(3, "init"), activation="tanh",
                        condition_dim=1)
         pair = _pair(ident, pot)
         x = make_rng(4).normal(size=(12, 2))
         loss, grads = not_loss_potential(pair, x, x, S0, NotConfig())
         assert loss == 0.0
-        for g in grads:
-            assert np.allclose(g, 0.0, atol=1e-15)
+        assert np.allclose(grads, 0.0, atol=1e-15)
 
 
 FD_STEP = 1e-5
@@ -145,7 +145,7 @@ class TestGradients:
             s = rng.normal(size=2)
             _, grads = not_loss_potential(pair, x, y, s, cfg)
             _fd_check(lambda: not_loss_potential(pair, x, y, s, cfg)[0],
-                      pair.potential_model.parameters(), grads)
+                      [pair.potential_model.params], [grads])
 
     @pytest.mark.parametrize("extremal", [False, True])
     def test_map_loss_gradients(self, extremal):
@@ -157,7 +157,7 @@ class TestGradients:
             s = rng.normal(size=2)
             _, grads = not_loss_map(pair, x, s, cfg)
             _fd_check(lambda: not_loss_map(pair, x, s, cfg)[0],
-                      pair.map_model.parameters(), grads)
+                      [pair.map_model.params], [grads])
 
 
 class TestStructure:
@@ -209,7 +209,7 @@ class TestStructure:
 
 def _train_map_only(pair, x_rows, steps, lr=1e-2):
     cfg = NotConfig()
-    params = pair.map_model.parameters()
+    params = pair.map_model.params
     opt = adam_init(params, lr)
     rng = make_rng(13, "train")
     for _ in range(steps):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otconvert.errors import NumericalError, ShapeError
+from otconvert.errors import NumericalError, ShapeError, ValidationError
 from otconvert.nn import (
     MlpModel,
     adam_init,
@@ -110,12 +110,10 @@ def test_backward_matches_finite_differences(activation, time_conditioned, condi
     if activation == "relu":
         # a pre-activation within the FD step of zero would invalidate the check
         assert _relu_margin(model, x, t, s) > 100 * FD_STEP
-    grads, x_grad = mlp_backward(model, x, t=t, s=s, upstream=upstream)
-    params = model.parameters()
-    assert len(grads) == len(params)
-    for analytic, p in zip(grads, params):
-        fd = _fd_grad(model, x, t, s, upstream, p)
-        np.testing.assert_allclose(analytic, fd, rtol=FD_RTOL, atol=1e-7)
+    grad, x_grad = mlp_backward(model, x, t=t, s=s, upstream=upstream)
+    assert grad.shape == model.params.shape
+    fd = _fd_grad(model, x, t, s, upstream, model.params)
+    np.testing.assert_allclose(grad, fd, rtol=FD_RTOL, atol=1e-7)
     fd_x = _fd_grad(model, x, t, s, upstream, x)
     np.testing.assert_allclose(x_grad, fd_x, rtol=FD_RTOL, atol=1e-7)
 
@@ -125,10 +123,9 @@ def test_backward_accepts_precomputed_cache():
     from otconvert.nn import _forward_cached
 
     out, cache = _forward_cached(model, x, t=t, s=s)
-    grads_a, xg_a = mlp_backward(model, x, t=t, s=s, upstream=upstream, cache=cache)
-    grads_b, xg_b = mlp_backward(model, x, t=t, s=s, upstream=upstream)
-    for ga, gb in zip(grads_a, grads_b):
-        np.testing.assert_array_equal(ga, gb)
+    grad_a, xg_a = mlp_backward(model, x, t=t, s=s, upstream=upstream, cache=cache)
+    grad_b, xg_b = mlp_backward(model, x, t=t, s=s, upstream=upstream)
+    np.testing.assert_array_equal(grad_a, grad_b)
     np.testing.assert_array_equal(xg_a, xg_b)
 
 
@@ -176,61 +173,86 @@ def test_forward_shape_validation():
 def test_adam_matches_scalar_recurrence():
     """Independent elementwise Adam recurrence, no weight decay."""
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    p = np.array([2.0])
-    params = [p]
+    params = np.array([2.0])
     state = adam_init(params, lr, betas=(b1, b2), epsilon=eps)
 
     x = 2.0
     m = v = 0.0
     for step in range(1, 26):
         g = np.array([np.sin(step) + x])
-        adam_step(state, params, [g.copy()])
+        adam_step(state, params, g.copy())
         gs = float(g[0])
         m = b1 * m + (1 - b1) * gs
         v = b2 * v + (1 - b2) * gs * gs
         mhat = m / (1 - b1**step)
         vhat = v / (1 - b2**step)
         x -= lr * mhat / (np.sqrt(vhat) + eps)
-        np.testing.assert_allclose(params[0][0], x, rtol=1e-14)
+        np.testing.assert_allclose(params[0], x, rtol=1e-14)
 
 
 def test_adam_converges_on_quadratic():
-    p = np.array([0.0])
-    params = [p]
+    params = np.array([0.0])
     state = adam_init(params, 0.1)
     for _ in range(500):
-        grad = 2.0 * (params[0] - 3.0)
-        adam_step(state, params, [grad])
-    assert abs(params[0][0] - 3.0) < 1e-2
+        adam_step(state, params, 2.0 * (params - 3.0))
+    assert abs(params[0] - 3.0) < 1e-2
 
 
 def test_weight_decay_is_decoupled():
     # zero gradients forever: the Adam term stays 0, decay acts alone
     lr, wd = 0.05, 0.1
-    p = np.array([1.0, -2.0])
-    params = [p]
+    params = np.array([1.0, -2.0])
     state = adam_init(params, lr, weight_decay=wd)
     for _ in range(10):
-        adam_step(state, params, [np.zeros(2)])
-    np.testing.assert_allclose(params[0], np.array([1.0, -2.0]) * (1 - lr * wd) ** 10,
+        adam_step(state, params, np.zeros(2))
+    np.testing.assert_allclose(params, np.array([1.0, -2.0]) * (1 - lr * wd) ** 10,
                                rtol=1e-12)
 
 
 def test_adam_rejects_non_finite_gradient_with_index():
-    params = [np.zeros(3), np.zeros(2)]
+    params = np.zeros(5)
     state = adam_init(params, 0.01)
-    bad = [np.zeros(3), np.array([np.nan, 0.0])]
-    with pytest.raises(NumericalError, match="index 1"):
+    bad = np.array([0.0, 0.0, 0.0, np.nan, np.inf])
+    with pytest.raises(NumericalError, match="flat index 3"):
         adam_step(state, params, bad)
+    # a rejected step leaves parameters and state untouched
+    assert state.step == 0
+    np.testing.assert_array_equal(params, np.zeros(5))
 
 
 def test_adam_rejects_mismatched_shapes():
-    params = [np.zeros(3)]
+    params = np.zeros(3)
     state = adam_init(params, 0.01)
     with pytest.raises(ShapeError):
-        adam_step(state, params, [np.zeros(4)])
+        adam_step(state, params, np.zeros(4))
+    with pytest.raises(ShapeError):
+        adam_step(state, np.zeros(4), np.zeros(4))
 
 
-def test_parameter_count():
+def test_params_size_counts_every_weight_and_bias():
     model = init_mlp((3, 5, 2), make_rng(0, "init"))
-    assert model.parameter_count() == 3 * 5 + 5 + 5 * 2 + 2
+    assert model.params.size == 3 * 5 + 5 + 5 * 2 + 2
+
+
+def test_layers_are_views_into_params_and_adam_moves_them():
+    model = init_mlp((3, 5, 2), make_rng(0, "init"), time_conditioned=True)
+    for layer in model.weights + model.biases:
+        assert np.shares_memory(layer, model.params)
+    before = [layer.copy() for layer in model.weights + model.biases]
+    # the first Adam step moves every entry by lr against the gradient's sign
+    adam_step(adam_init(model.params, 0.1), model.params, np.ones(model.params.size))
+    for old, new in zip(before, model.weights + model.biases):
+        np.testing.assert_allclose(new, old - 0.1, rtol=0, atol=1e-8)
+
+
+def test_params_layout_and_validation():
+    model = init_mlp((3, 5, 2), make_rng(0, "init"), condition_dim=2)
+    w0, b0, w1, b1 = model.parameters()
+    np.testing.assert_array_equal(model.params[:25], w0.ravel())
+    np.testing.assert_array_equal(model.params[25:30], b0)
+    assert [p.shape for p in model.parameters()] == [(5, 5), (5,), (5, 2), (2,)]
+    with pytest.raises(ShapeError):
+        MlpModel(layer_dims=(3, 2), params=np.zeros(7))
+    for dims, activation in [((3,), "relu"), ((3, 0, 2), "relu"), ((3, 2), "gelu")]:
+        with pytest.raises(ValidationError):
+            MlpModel(layer_dims=dims, activation=activation)
