@@ -15,6 +15,7 @@ import numpy as np
 from .discrete import (
     SinkhornConfig,
     cost_matrix,
+    k_smallest_columns,
     plan_top_k_map,
     sinkhorn,
 )
@@ -98,7 +99,7 @@ def knn_convert(source, reference, k: int = DEFAULT_TOP_K):
     source, reference, k = _conversion_inputs(source, reference, k)
     cost = cost_matrix(source, reference, "cosine_distance").values
     # smallest cosine distance = highest similarity
-    order = np.argsort(cost, axis=1, kind="stable")[:, :k]
+    order = k_smallest_columns(cost, k)
     converted = reference[order].mean(axis=1)
     matched = np.take_along_axis(cost, order, axis=1)
     report = ConversionReport(

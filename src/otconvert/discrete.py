@@ -1,13 +1,15 @@
 """Discrete optimal transport on point clouds.
 
-Covers cost-matrix construction, an entropic solver that works entirely in
-the log domain, an exact small-instance solver used as a reference, and the
+Covers cost-matrix construction, an entropic solver that keeps its dual
+potentials in the log domain and iterates on scalings of a cached kernel,
+an exact small-instance solver used as a reference, and the
 post-processing steps that turn a coupling into a frame mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -22,6 +24,16 @@ EXACT_SIZE_LIMIT = 64
 # rows of X processed per block when building cost matrices, to bound the
 # m*n*d intermediate
 _COST_BLOCK_ELEMS = 1 << 22
+
+# sinkhorn absorbs its scalings into the log potentials and rebuilds the
+# kernel once one leaves [1/_SCALING_BOUND, _SCALING_BOUND]. Kernel entries
+# below _KERNEL_FLOOR are flushed to 0, so no product with a scaling is
+# subnormal; a kernel product below _SUM_FLOOR counts as underflowed and its
+# half step goes through logsumexp, so the flushed entries sit far below
+# the rounding error of every sum that is used.
+_SCALING_BOUND = 1e10
+_KERNEL_FLOOR = np.finfo(np.float64).tiny * _SCALING_BOUND
+_SUM_FLOOR = 1e-200
 
 
 @dataclass
@@ -75,6 +87,24 @@ class TransportPlan:
     @property
     def shape(self):
         return self.coupling.shape
+
+    @cached_property
+    def sampling_cdf(self) -> np.ndarray:
+        """Cumulative normalized coupling in row-major order, built once.
+
+        Built as ``Generator.choice`` builds it from ``p``, so searchsorted
+        on it reproduces choice's draws; the coupling must not change after
+        the first use.
+        """
+        total = self.coupling.sum()
+        if not np.isfinite(total) or total <= 0:
+            raise ValidationError("plan mass must be positive and finite")
+        if self.coupling.min() < 0:
+            raise ValidationError("plan has negative entries")
+        cdf = self.coupling.ravel() / total
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        return cdf
 
     def transport_cost(self, cost) -> float:
         """<C, coupling> for a cost matrix of matching shape."""
@@ -161,16 +191,47 @@ def _cost_values(cost) -> np.ndarray:
     return values
 
 
+def _gibbs_kernel(scaled, f, g, out=None) -> np.ndarray:
+    """exp(scaled + f ⊕ g): the plan of the potentials (f, g)."""
+    out = np.add(scaled, f[:, None], out=out)
+    out += g[None, :]
+    return np.exp(out, out=out)
+
+
+def _scaling_kernel(scaled, f, g, out=None) -> np.ndarray:
+    """The Gibbs kernel with entries below _KERNEL_FLOOR flushed to 0.
+
+    Subnormal operands slow a matrix-vector product many times over.
+    """
+    out = _gibbs_kernel(scaled, f, g, out=out)
+    out[out < _KERNEL_FLOOR] = 0.0
+    return out
+
+
+def _usable(sums) -> bool:
+    """A kernel product is finite and has not underflowed toward 0."""
+    return bool(sums.min() >= _SUM_FLOOR and sums.max() < np.inf)
+
+
+def _drifted(scaling) -> bool:
+    return bool(scaling.max() > _SCALING_BOUND or scaling.min() < 1.0 / _SCALING_BOUND)
+
+
 def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> TransportPlan:
-    """Entropic optimal transport via log-domain dual iterations.
+    """Entropic optimal transport via stabilized scaling iterations.
 
     Alternates exact coordinate updates of the dual potentials f, g of the
-    regularized problem, with every sum taken through logsumexp, so the
-    iteration cannot under- or overflow at small epsilon. After a g update
-    the column sums match b exactly; convergence is declared when the row
-    sums also match a within cfg.tolerance. If the iteration budget runs out
-    first the plan is still returned and carries the achieved
-    marginal_error.
+    regularized problem. Each potential is an absorbed part, kept in the
+    log domain, plus the log of a scaling (u or v) on the cached Gibbs
+    kernel K = exp(−C/ε + f ⊕ g), so an update costs one matrix-vector
+    product. A scaling that leaves [1/_SCALING_BOUND, _SCALING_BOUND] is
+    absorbed into its potential and K rebuilt; a half step whose product
+    underflows or is not finite is taken through logsumexp instead, so small
+    epsilon neither under- nor overflows. The iterates are those of the
+    log-domain iteration up to rounding. After a g update the column sums
+    match b exactly; convergence is declared when the row sums also match a
+    within cfg.tolerance. If the iteration budget runs out first the plan is
+    still returned and carries the achieved marginal_error.
 
     Marginals default to uniform.
     """
@@ -183,18 +244,42 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     log_a = np.log(a)
     log_b = np.log(b)
     scaled = -values / cfg.epsilon
-    # after each g update the column sums are exact for the current f, so
-    # convergence reduces to the row-sum residual, and the logsumexp that
-    # measures it is the same one the next f update needs
-    f = log_a - logsumexp(scaled + np.zeros(n)[None, :], axis=1)
+    # the dual is (f + log u, g + log v) and its plan u_i K_ij v_j; after
+    # each g update the column sums are exact, so convergence reduces to
+    # the row-sum residual, and the product that measures it is the one
+    # the next f update needs
+    f = log_a - logsumexp(scaled, axis=1)
+    g = np.zeros(n)
+    kernel = _scaling_kernel(scaled, f, g)
+    u, v = np.ones(m), np.ones(n)
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        g = log_b - logsumexp(scaled + f[:, None], axis=0)
-        log_row = logsumexp(scaled + g[None, :], axis=1)
-        if np.abs(np.exp(f + log_row) - a).max() < cfg.tolerance:
+        col = kernel.T @ u
+        if _usable(col):
+            v = b / col
+        else:
+            f, u = f + np.log(u), np.ones(m)
+            g, v = log_b - logsumexp(scaled + f[:, None], axis=0), np.ones(n)
+            _scaling_kernel(scaled, f, g, out=kernel)
+        row = kernel @ v
+        if _usable(row):
+            log_row = None
+            row_mass = u * row
+        else:
+            f, g, u, v = f + np.log(u), g + np.log(v), np.ones(m), np.ones(n)
+            log_row = logsumexp(scaled + g[None, :], axis=1)
+            row_mass = np.exp(f + log_row)
+        if np.abs(row_mass - a).max() < cfg.tolerance:
             break
-        f = log_a - log_row
-    plan = np.exp(scaled + f[:, None] + g[None, :])
+        if log_row is not None:
+            f = log_a - log_row
+        else:
+            u = a / row
+            if not (_drifted(u) or _drifted(v)):
+                continue
+            f, g, u, v = f + np.log(u), g + np.log(v), np.ones(m), np.ones(n)
+        _scaling_kernel(scaled, f, g, out=kernel)
+    plan = _gibbs_kernel(scaled, f + np.log(u), g + np.log(v), out=kernel)
     row_err = np.abs(plan.sum(axis=1) - a).max()
     col_err = np.abs(plan.sum(axis=0) - b).max()
     return TransportPlan(
@@ -297,9 +382,25 @@ def plan_top_k_map(plan: TransportPlan, y, k: int):
     k = int(k)
     if k < 1 or k > n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    # stable sort on the negated row keeps ascending column order among ties
-    order = np.argsort(-coupling, axis=1, kind="stable")[:, :k]
-    return y[order].mean(axis=1)
+    return y[k_smallest_columns(-coupling, k)].mean(axis=1)
+
+
+def k_smallest_columns(keys, k: int) -> np.ndarray:
+    """Column indices of the k smallest keys of each row, smallest first.
+
+    Equal keys go to the lower column index, so the result equals
+    ``np.argsort(keys, axis=1, kind="stable")[:, :k]``. A partition finds
+    each row's k-th smallest key, and only the keys at or below it are
+    sorted.
+    """
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(keys <= kth[:, None])
+    # nonzero lists each row's candidates by ascending column, and lexsort
+    # is stable, so equal keys keep that order
+    order = np.lexsort((keys[rows, cols], rows))
+    counts = np.bincount(rows, minlength=keys.shape[0])
+    starts = np.cumsum(counts) - counts
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def plan_barycentric_map(plan: TransportPlan, y):
@@ -319,18 +420,15 @@ def plan_barycentric_map(plan: TransportPlan, y):
 
 
 def sample_index_pairs(plan: TransportPlan, count: int, rng: np.random.Generator):
-    """Draw i.i.d. index pairs (i, j) with probability coupling[i, j]."""
+    """Draw i.i.d. index pairs (i, j) with probability coupling[i, j].
+
+    Draws are those of ``rng.choice(m * n, count, p=coupling / mass)``, from
+    the plan's cached CDF.
+    """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    coupling = plan.coupling
-    m, n = coupling.shape
-    flat = coupling.ravel()
-    total = flat.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValidationError("plan mass must be positive and finite")
-    flat = flat / total
-    drawn = rng.choice(m * n, size=int(count), p=flat)
-    return np.unravel_index(drawn, (m, n))
+    drawn = plan.sampling_cdf.searchsorted(rng.random(int(count)), side="right")
+    return np.unravel_index(drawn, plan.coupling.shape)
 
 
 def sample_pairs_from_plan(plan: TransportPlan, x, y, count: int,

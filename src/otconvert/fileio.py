@@ -251,6 +251,14 @@ def read_not_pair(path):
     if potential_model.output_dim != 1:
         raise ValidationError(f"{path}: the potential network must have output"
                               f" width 1, got {potential_model.output_dim}")
+    dim = map_model.input_dim
+    if (map_model.output_dim != dim or potential_model.input_dim != dim
+            or potential_model.condition_dim != map_model.condition_dim):
+        raise ValidationError(f"{path}: the map network must be d->d and the potential"
+                              f" must take d inputs and the same condition width, got"
+                              f" map dims {map_model.layer_dims} and potential dims"
+                              f" {potential_model.layer_dims}, condition widths"
+                              f" {map_model.condition_dim} and {potential_model.condition_dim}")
     pair = NotModelPair(map_model=map_model, potential_model=potential_model,
                         nonpositivity_transform=bool(flags & 1))
     return pair, config_text

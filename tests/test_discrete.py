@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from otconvert import discrete
 from otconvert.discrete import (
     CostMatrix,
     SinkhornConfig,
     TransportPlan,
     cost_matrix,
     exact_ot,
+    k_smallest_columns,
     plan_barycentric_map,
     plan_top_k_map,
     sample_index_pairs,
@@ -220,6 +223,51 @@ def test_sinkhorn_feasibility_property(seed, m, n):
     assert abs(plan.coupling.sum() - 1.0) < 1e-12
 
 
+def _log_domain_sinkhorn(values, cfg):
+    """Reference: the same iteration with every half step one logsumexp."""
+    m, n = values.shape
+    log_a, log_b = np.log(uniform_marginal(m)), np.log(uniform_marginal(n))
+    scaled = -values / cfg.epsilon
+    f = log_a - logsumexp(scaled, axis=1)
+    for iterations in range(1, cfg.max_iterations + 1):
+        g = log_b - logsumexp(scaled + f[:, None], axis=0)
+        log_row = logsumexp(scaled + g[None, :], axis=1)
+        if np.abs(np.exp(f + log_row) - 1.0 / m).max() < cfg.tolerance:
+            break
+        f = log_a - log_row
+    return np.exp(scaled + f[:, None] + g[None, :]), iterations
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.01, 1e-3, 1e-4])
+def test_sinkhorn_matches_log_domain_iteration(epsilon, monkeypatch):
+    rng = make_rng(12, "root")
+    x = rng.normal(size=(30, 4))
+    y = rng.normal(size=(40, 4)) + 1.5
+    c = cost_matrix(x, y, "squared_euclidean")
+    cfg = SinkhornConfig(epsilon=epsilon, max_iterations=1500)
+    counts = {"kernel": 0, "logsumexp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(discrete, "_scaling_kernel",
+                        counted("kernel", discrete._scaling_kernel))
+    monkeypatch.setattr(discrete, "logsumexp", counted("logsumexp", discrete.logsumexp))
+    plan = sinkhorn(c, cfg=cfg)
+    want, iterations = _log_domain_sinkhorn(c.values, cfg)
+    assert plan.iterations_used == iterations
+    assert np.all(np.isfinite(plan.coupling))
+    assert np.abs(plan.coupling - want).max() <= 1e-10 * want.max()
+    if epsilon == 1e-4:
+        # an underflowed product took the log-domain half step, and every
+        # kernel build beyond the start and the fallbacks is an absorption
+        assert counts["logsumexp"] >= 2
+        assert counts["kernel"] > counts["logsumexp"]
+
+
 # ---------------------------------------------------------------- exact
 
 
@@ -346,6 +394,18 @@ def test_top_k_ties_broken_by_lower_column():
     np.testing.assert_allclose(out, [[0.5]])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 30),
+       st.integers(0, 4), st.data())
+def test_k_smallest_columns_matches_stable_argsort(seed, m, n, levels, data):
+    # few distinct integer keys, so most rows carry ties across the cut
+    keys = np.random.default_rng(seed).integers(-levels, levels + 1,
+                                                size=(m, n)).astype(np.float64)
+    k = data.draw(st.integers(1, n))
+    want = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    np.testing.assert_array_equal(k_smallest_columns(keys, k), want)
+
+
 def test_top_k_validates_k():
     plan = _plan_from(np.ones((2, 3)) / 6)
     y = np.zeros((3, 2))
@@ -419,3 +479,17 @@ def test_sampling_is_seed_deterministic():
     a2 = sample_index_pairs(_plan_from(coupling), 64, make_rng(5, "pairs"))
     np.testing.assert_array_equal(a1[0], a2[0])
     np.testing.assert_array_equal(a1[1], a2[1])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampling_draws_equal_generator_choice(seed):
+    coupling = make_rng(seed, "root").uniform(size=(20, 30)) ** 4
+    coupling[3] = 0.0
+    coupling /= coupling.sum()
+    plan = _plan_from(coupling)
+    rng, ref = make_rng(seed, "pairs"), make_rng(seed, "pairs")
+    for count in (1, 17, 500):
+        i_idx, j_idx = sample_index_pairs(plan, count, rng)
+        want = ref.choice(coupling.size, size=count,
+                          p=coupling.ravel() / coupling.sum())
+        np.testing.assert_array_equal(i_idx * 30 + j_idx, want)

@@ -285,6 +285,17 @@ class TestModelArchitectureChecks:
         with pytest.raises(ValidationError, match="pair.otm: the potential network"):
             read_not_pair(path)
 
+    @pytest.mark.parametrize("map_net,potential_net", [
+        (((2, 4, 3), 0, 0, 0), ((2, 4, 1), 0, 0, 0)),  # map is not d->d
+        (((2, 4, 2), 0, 0, 0), ((3, 4, 1), 0, 0, 0)),  # potential input width differs
+        (((2, 4, 2), 0, 0, 1), ((2, 4, 1), 0, 0, 0)),  # condition widths differ
+    ])
+    def test_pair_widths_checked(self, tmp_path, map_net, potential_net):
+        path = tmp_path / "pair.otm"
+        path.write_bytes(_model_blob(1, [map_net, potential_net]))
+        with pytest.raises(ValidationError, match="pair.otm: the map network must be d->d"):
+            read_not_pair(path)
+
     @pytest.mark.parametrize("kind,count", [(0, 2), (1, 1)])
     def test_network_count_checked(self, tmp_path, kind, count):
         path = tmp_path / "model.otm"
