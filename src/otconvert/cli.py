@@ -27,12 +27,12 @@ _configure_threads()
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .convert import knn_convert, sinkvc_convert
-from .discrete import SinkhornConfig, cost_matrix, sinkhorn
+from .discrete import COST_KINDS, SinkhornConfig, cost_matrix, sinkhorn
 from .errors import (CapacityError, DivergenceError, NumericalError,
                      ValidationError)
 from .fileio import (REQUIRED, _format_value, atomic_write_text,
@@ -40,8 +40,9 @@ from .fileio import (REQUIRED, _format_value, atomic_write_text,
                      read_text_file, resolve_config, write_feature_file,
                      write_not_pair, write_velocity_field)
 from .flow import FlowConfig, fm_train, plan_pair_sampler
-from .metrics import frechet_distance, theorem1_check, w2_squared_empirical
-from .neural import NotConfig, dataset_from_arrays, not_train
+from .metrics import (W2_MODES, frechet_distance, theorem1_check,
+                      w2_squared_empirical)
+from .neural import LR_DECAYS, NotConfig, dataset_from_arrays, not_train
 from .rng import make_rng
 from . import synth as synth_tasks
 
@@ -50,18 +51,31 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_DIVERGENCE = 4
 
+METHODS = ("sinkvc", "knn", "fmvc")
+
+# config kind of a settings dataclass field, by the type of its default
+_KINDS = {bool: "bool", int: "int", float: "float", str: "str",
+          tuple: "int_tuple", type(None): "optional_float"}
+
+
+def _schema_of(cls, prefix: str = "") -> dict:
+    """Config keys of a settings dataclass: prefix + field name -> (kind, default)."""
+    return {prefix + f.name: (_KINDS[type(f.default)], f.default)
+            for f in fields(cls)}
+
+
+def _config_of(cls, resolved: dict, prefix: str = ""):
+    """Build a settings dataclass from the resolved keys _schema_of declared."""
+    return cls(**{f.name: resolved[prefix + f.name] for f in fields(cls)})
+
+
 _SINKHORN_KEYS = {
     "epsilon": ("float", 0.1),
     "sinkhorn_max_iterations": ("int", 10_000),
     "sinkhorn_tolerance": ("float", 1e-6),
 }
 _FLOW_KEYS = {
-    "fm_hidden_dims": ("int_tuple", (512, 512, 512)),
-    "fm_batch_size": ("int", 1000),
-    "fm_iterations": ("int", 1000),
-    "fm_learning_rate": ("float", 0.001),
-    "fm_ode_steps": ("int", 100),
-    "fm_ode_method": ("str", "euler"),
+    **_schema_of(FlowConfig, "fm_"),
     "cost": ("str", "cosine_distance"),
 }
 
@@ -95,19 +109,7 @@ SCHEMAS = {
         "dataset_spec": ("str", REQUIRED),
         "out_model": ("str", REQUIRED),
         "loss_trace": ("str", ""),
-        "extremal": ("bool", False),
-        "w": ("optional_float", None),
-        "inner_steps": ("int", 10),
-        "batch_size": ("int", 128),
-        "map_lr": ("float", 1e-3),
-        "potential_lr": ("float", 1e-3),
-        "lr_decay": ("str", "none"),
-        "total_outer_iterations": ("int", 3000),
-        "hidden_dims": ("int_tuple", (128, 128, 128)),
-        "weight_decay": ("float", 1e-10),
-        "divergence_guard": ("float", 1e8),
-        "checkpoint_every": ("int", 250),
-        "eval_samples": ("int", 64),
+        **_schema_of(NotConfig),
     },
     "eval": {
         "command": ("str", "eval"),
@@ -140,23 +142,23 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--config")
     convert.add_argument("--source")
     convert.add_argument("--reference")
-    convert.add_argument("--method", choices=("sinkvc", "knn", "fmvc"))
-    convert.add_argument("--epsilon", type=float)
-    convert.add_argument("--k", type=int)
+    convert.add_argument("--method", choices=METHODS)
+    convert.add_argument("--epsilon")
+    convert.add_argument("--k")
     convert.add_argument("--model")
     convert.add_argument("--out")
     convert.add_argument("--report")
-    convert.add_argument("--seed", type=int)
-    convert.add_argument("--cost", choices=("squared_euclidean", "cosine_distance"))
+    convert.add_argument("--seed")
+    convert.add_argument("--cost", choices=COST_KINDS)
 
     train_fm = sub.add_parser("train-fm", help="train a velocity field on plan pairs")
     train_fm.add_argument("--config")
     train_fm.add_argument("--source")
     train_fm.add_argument("--reference")
     train_fm.add_argument("--out-model", dest="out_model")
-    train_fm.add_argument("--seed", type=int)
-    train_fm.add_argument("--epsilon", type=float)
-    train_fm.add_argument("--cost", choices=("squared_euclidean", "cosine_distance"))
+    train_fm.add_argument("--seed")
+    train_fm.add_argument("--epsilon")
+    train_fm.add_argument("--cost", choices=COST_KINDS)
 
     train_not = sub.add_parser("train-not", help="train a conditional transport pair")
     train_not.add_argument("--config")
@@ -164,9 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     train_not.add_argument("--out-model", dest="out_model")
     train_not.add_argument("--extremal", action=argparse.BooleanOptionalAction,
                            default=None)
-    train_not.add_argument("--w", type=float)
-    train_not.add_argument("--lr-decay", dest="lr_decay", choices=("none", "cosine"))
-    train_not.add_argument("--seed", type=int)
+    train_not.add_argument("--w")
+    train_not.add_argument("--lr-decay", dest="lr_decay", choices=LR_DECAYS)
+    train_not.add_argument("--seed")
 
     evalp = sub.add_parser("eval", help="compare two feature files")
     evalp.add_argument("--config")
@@ -174,16 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--b")
     evalp.add_argument("--metrics")
     evalp.add_argument("--w2-mode", dest="w2_mode",
-                       choices=("auto", "exact_small", "sinkhorn"))
-    evalp.add_argument("--epsilon", type=float)
+                       choices=("auto", *W2_MODES))
+    evalp.add_argument("--epsilon")
     evalp.add_argument("--report")
 
     synthp = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
     synthp.add_argument("--config")
     synthp.add_argument("--task", choices=synth_tasks.TASK_NAMES)
-    synthp.add_argument("--n", type=int)
-    synthp.add_argument("--dim", type=int)
-    synthp.add_argument("--seed", type=int)
+    synthp.add_argument("--n")
+    synthp.add_argument("--dim")
+    synthp.add_argument("--seed")
     synthp.add_argument("--out-dir", dest="out_dir")
 
     return parser
@@ -231,17 +233,6 @@ def _sinkhorn_config(resolved) -> SinkhornConfig:
     )
 
 
-def _flow_config(resolved) -> FlowConfig:
-    return FlowConfig(
-        hidden_dims=resolved["fm_hidden_dims"],
-        batch_size=resolved["fm_batch_size"],
-        iterations=resolved["fm_iterations"],
-        learning_rate=resolved["fm_learning_rate"],
-        ode_steps=resolved["fm_ode_steps"],
-        ode_method=resolved["fm_ode_method"],
-    )
-
-
 def _warn_if_unconverged(plan, resolved):
     """One stderr line when a Sinkhorn plan stopped short of its tolerance."""
     if plan.marginal_error >= resolved["sinkhorn_tolerance"]:
@@ -257,7 +248,7 @@ def cmd_convert(resolved: dict) -> int:
     src = source.values.astype(np.float64)
     ref = reference.values.astype(np.float64)
     method = resolved["method"]
-    if method not in ("sinkvc", "knn", "fmvc"):
+    if method not in METHODS:
         raise ValidationError(f"unknown method {resolved['method']!r}")
     if method != "fmvc" and resolved["cost"] != "cosine_distance":
         raise ValidationError(f"--cost applies only to --method fmvc; {method}"
@@ -268,24 +259,23 @@ def cmd_convert(resolved: dict) -> int:
         converted, report = sinkvc_convert(src, ref, cfg=_sinkhorn_config(resolved),
                                            k=resolved["k"])
         _warn_if_unconverged(report.plan_stats, resolved)
-        report_payload = asdict(report)
     elif method == "knn":
         converted, report = knn_convert(src, ref, k=resolved["k"])
-        report_payload = asdict(report)
     else:
         from .flow import fm_pipeline
 
         field, converted, report = fm_pipeline(
-            src, ref, _sinkhorn_config(resolved), _flow_config(resolved),
+            src, ref, _sinkhorn_config(resolved),
+            _config_of(FlowConfig, resolved, "fm_"),
             make_rng(resolved["seed"], "train"), cost_kind=resolved["cost"])
         _warn_if_unconverged(report.plan_stats, resolved)
-        report_payload = asdict(report)
         if resolved["model"]:
             write_velocity_field(resolved["model"], field,
                                  config_text=_config_text(resolved))
             report_extra["model"] = resolved["model"]
 
     write_feature_file(resolved["out"], converted, tag=source.tag)
+    report_payload = asdict(report)
     report_payload.update(report_extra)
     report_payload.update({
         "source": resolved["source"],
@@ -316,7 +306,7 @@ def cmd_train_fm(resolved: dict) -> int:
     trace_path = resolved["loss_trace"] or resolved["out_model"] + ".loss.csv"
     try:
         field = fm_train(plan_pair_sampler(plan, source, reference),
-                         _flow_config(resolved),
+                         _config_of(FlowConfig, resolved, "fm_"),
                          make_rng(resolved["seed"], "train"))
     except DivergenceError as err:
         if err.trace:
@@ -393,21 +383,7 @@ def parse_dataset_spec(path: str):
 def cmd_train_not(resolved: dict) -> int:
     entries = parse_dataset_spec(resolved["dataset_spec"])
     dataset = dataset_from_arrays(entries)
-    cfg = NotConfig(
-        inner_steps=resolved["inner_steps"],
-        batch_size=resolved["batch_size"],
-        map_lr=resolved["map_lr"],
-        potential_lr=resolved["potential_lr"],
-        lr_decay=resolved["lr_decay"],
-        total_outer_iterations=resolved["total_outer_iterations"],
-        extremal=resolved["extremal"],
-        w=resolved["w"],
-        hidden_dims=resolved["hidden_dims"],
-        weight_decay=resolved["weight_decay"],
-        divergence_guard=resolved["divergence_guard"],
-        checkpoint_every=resolved["checkpoint_every"],
-        eval_samples=resolved["eval_samples"],
-    )
+    cfg = _config_of(NotConfig, resolved)
     trace_path = resolved["loss_trace"] or resolved["out_model"] + ".loss.csv"
 
     def trace_rows(trace):

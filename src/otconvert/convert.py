@@ -41,6 +41,20 @@ class ConversionReport:
     plan_stats: PlanStats | None = None
 
 
+def plan_report(method: str, k: int, plan, cost) -> ConversionReport:
+    """Report of a plan-based conversion: the plan's cost and solver footprint."""
+    return ConversionReport(
+        method=method,
+        k=k,
+        mean_transport_cost=plan.transport_cost(cost),
+        plan_stats=PlanStats(
+            epsilon=plan.epsilon,
+            iterations_used=plan.iterations_used,
+            marginal_error=plan.marginal_error,
+        ),
+    )
+
+
 def _conversion_inputs(source, reference, k):
     source = np.asarray(source, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
@@ -77,17 +91,7 @@ def sinkvc_convert(source, reference, cfg: SinkhornConfig | None = None,
     cost = cost_matrix(source, reference, "cosine_distance")
     plan = sinkhorn(cost, cfg=cfg)
     converted = plan_top_k_map(plan, reference, k)
-    report = ConversionReport(
-        method="sinkvc",
-        k=k,
-        mean_transport_cost=plan.transport_cost(cost),
-        plan_stats=PlanStats(
-            epsilon=plan.epsilon,
-            iterations_used=plan.iterations_used,
-            marginal_error=plan.marginal_error,
-        ),
-    )
-    return converted, report
+    return converted, plan_report("sinkvc", k, plan, cost)
 
 
 def knn_convert(source, reference, k: int = DEFAULT_TOP_K):

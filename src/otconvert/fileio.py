@@ -46,7 +46,6 @@ from .nn import MlpModel, param_layout
 FEATURE_MAGIC = b"OTFEAT01"
 MODEL_MAGIC = b"OTMODL01"
 _DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-_DTYPE_NAMES = {"float64": 0, "float32": 1}
 _ACTIVATION_CODES = {"relu": 0, "tanh": 1}
 _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
 MODEL_KINDS = ("velocity_field", "not_pair")

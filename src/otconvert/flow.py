@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convert import ConversionReport, PlanStats
+from .convert import plan_report
 from .discrete import SinkhornConfig, cost_matrix, sample_pairs_from_plan, sinkhorn
 from .errors import DivergenceError, NumericalError, ShapeError, ValidationError
 from .nn import (
@@ -177,17 +177,7 @@ def fm_pipeline(source, reference, sink_cfg: SinkhornConfig | None,
     plan = sinkhorn(cost, cfg=sink_cfg)
     field = fm_train(plan_pair_sampler(plan, source, reference), flow_cfg, rng)
     converted = fm_apply(field, source, flow_cfg)
-    report = ConversionReport(
-        method="fmvc",
-        k=0,
-        mean_transport_cost=plan.transport_cost(cost),
-        plan_stats=PlanStats(
-            epsilon=plan.epsilon,
-            iterations_used=plan.iterations_used,
-            marginal_error=plan.marginal_error,
-        ),
-    )
-    return field, converted, report
+    return field, converted, plan_report("fmvc", 0, plan, cost)
 
 
 def straight_path_deviation(field: VelocityField, x0, x1,

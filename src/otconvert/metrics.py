@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .discrete import (
+    EXACT_SIZE_LIMIT,
     SinkhornConfig,
     _as_rows,
     cost_matrix,
@@ -27,12 +28,13 @@ from .discrete import (
     project_to_marginals,
     sinkhorn,
 )
-from .errors import CapacityError, DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .linalg import matrix_sqrt_psd, spd_inverse_sqrt, symmetrize
 
 W2_MODES = ("exact_small", "sinkhorn")
 
-EXACT_W2_LIMIT = 64
+# float roundoff absorbed by theorem1_check (and neural OT checkpoints)
+THEOREM1_SLACK = 1e-8
 
 # shrinkage strength applied to covariance fits with n <= d samples
 SHRINKAGE_SCALE = 1e-6
@@ -130,27 +132,16 @@ def w2_squared_empirical(x, y, mode: str | None = None,
     marginals; the value carries an upward entropic bias and never
     undercuts the exact optimum. Default picks exact_small when it applies.
     """
-    x = _as_rows(x, "x")
-    y = _as_rows(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
-    if mode is None:
-        mode = (
-            "exact_small"
-            if x.shape[0] == y.shape[0] and x.shape[0] <= EXACT_W2_LIMIT
-            else "sinkhorn"
-        )
-    if mode not in W2_MODES:
+    if mode not in (None, *W2_MODES):
         raise ValidationError(f"mode must be one of {W2_MODES}, got {mode!r}")
     c = cost_matrix(x, y, "squared_euclidean")
+    m, n = c.values.shape
+    if mode is None:
+        mode = "exact_small" if m == n <= EXACT_SIZE_LIMIT else "sinkhorn"
     if mode == "exact_small":
-        if x.shape[0] != y.shape[0]:
+        if m != n:
             raise ValidationError(
-                f"exact_small needs equal sample counts, got {x.shape[0]} vs {y.shape[0]}"
-            )
-        if x.shape[0] > EXACT_W2_LIMIT:
-            raise CapacityError(
-                f"exact_small is limited to {EXACT_W2_LIMIT} samples, got {x.shape[0]}"
+                f"exact_small needs equal sample counts, got {m} vs {n}"
             )
         _, value = exact_ot(c)
         return value
@@ -179,17 +170,17 @@ def frechet_distance(x, y) -> float:
         ) from exc
 
 
-def theorem1_check(x_generated, y_target, slack: float = 1e-8,
-                   mode: str | None = None,
+def theorem1_check(x_generated, y_target, mode: str | None = None,
                    cfg: SinkhornConfig | None = None) -> Theorem1Result:
-    """Check frechet_distance(X, Y) <= 2 * w2_squared_empirical(X, Y) + slack.
+    """Check frechet_distance(X, Y) <= 2 * w2_squared_empirical(X, Y) + THEOREM1_SLACK.
 
     The factor 2 converts between the unit-cost Gaussian form and the ½-cost
     empirical form. With ddof-0 moment fits the inequality is a theorem, not
-    a statistic, so slack only needs to absorb float roundoff. Returns both
-    sides and the verdict.
+    a statistic, so the slack only needs to absorb float roundoff. Returns
+    both sides and the verdict.
     """
     fd = frechet_distance(x_generated, y_target)
     two_w2 = 2.0 * w2_squared_empirical(x_generated, y_target, mode=mode, cfg=cfg)
-    return Theorem1Result(fd=fd, two_w2sq=two_w2, holds=bool(fd <= two_w2 + slack))
+    return Theorem1Result(fd=fd, two_w2sq=two_w2,
+                          holds=bool(fd <= two_w2 + THEOREM1_SLACK))
 

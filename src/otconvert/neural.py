@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DivergenceError, ShapeError, ValidationError
-from .metrics import frechet_distance, w2_squared_empirical
+from .metrics import THEOREM1_SLACK, frechet_distance, w2_squared_empirical
 from .nn import (
     MlpModel,
     _forward_cached,
@@ -36,6 +36,8 @@ from .nn import (
     mlp_backward,
     mlp_forward,
 )
+
+LR_DECAYS = ("none", "cosine")
 
 
 @dataclass
@@ -136,7 +138,7 @@ class NotConfig:
             raise ValidationError(f"w must be >= 1, got {self.w}")
         if self.checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
-        if self.lr_decay not in ("none", "cosine"):
+        if self.lr_decay not in LR_DECAYS:
             raise ValidationError(f"lr_decay must be 'none' or 'cosine', got {self.lr_decay!r}")
 
     def lr_scale(self, iteration: int) -> float:
@@ -149,9 +151,9 @@ class NotConfig:
 
     @property
     def w_effective(self) -> float:
-        if self.w is not None:
-            return float(self.w)
-        return 12.0 if self.extremal else 1.0
+        if not self.extremal:
+            return 1.0
+        return 12.0 if self.w is None else float(self.w)
 
 
 @dataclass
@@ -205,7 +207,7 @@ def not_loss_potential(pair: NotModelPair, x, y, s, cfg: NotConfig):
     _check_mode(pair, cfg)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w_eff = cfg.w_effective if cfg.extremal else 1.0
+    w_eff = cfg.w_effective
     tx = apply_map(pair, x, s)
     f_y, grads_y, _ = _potential_with_grads(pair, y, s,
                                             np.full(y.shape[0], w_eff / y.shape[0]))
@@ -282,7 +284,7 @@ def _checkpoint(pair, dataset, cfg, rng, iteration) -> Checkpoint:
                 w2sq_map=w2_map,
                 w2sq_source=w2_src,
                 fd_map=fd,
-                bound_holds=bool(fd <= 2.0 * w2_map + 1e-8),
+                bound_holds=bool(fd <= 2.0 * w2_map + THEOREM1_SLACK),
             )
         )
     return Checkpoint(iteration=iteration, conditions=evals)
@@ -343,7 +345,7 @@ class DualityGapReport:
 
 def _pair_value(pair, dataset, cfg, eval_batches) -> float:
     """Objective value of a pair: map loss plus the weighted target term."""
-    w_eff = cfg.w_effective if cfg.extremal else 1.0
+    w_eff = cfg.w_effective
     total = 0.0
     for spec, (xs, ys) in zip(dataset.conditions, eval_batches):
         loss_t, _ = not_loss_map(pair, xs, spec.vector, cfg)

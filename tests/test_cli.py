@@ -1,5 +1,7 @@
 """CLI subcommands: flows, exit codes, config resolution, reproducibility."""
 
+import argparse
+import hashlib
 import json
 import struct
 import subprocess
@@ -8,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from otconvert.cli import entry
+from otconvert.cli import SCHEMAS, _config_text, _resolve, build_parser, entry
 from otconvert.fileio import (parse_kv_text, read_feature_file,
                               read_not_pair, read_velocity_field,
                               write_feature_file)
@@ -371,10 +373,13 @@ class TestEval:
         b = tmp_path / "b.otf"
         make_frames(a, n=80, d=3, seed=13)
         make_frames(b, n=80, d=3, seed=14)
-        code, _, err = run_cli(capsys, "eval", "--a", a, "--b", b,
-                               "--metrics", "w2", "--w2-mode", "exact_small")
+        code, stdout, err = run_cli(capsys, "eval", "--a", a, "--b", b,
+                                    "--metrics", "w2", "--w2-mode", "exact_small")
         assert code == 2
-        assert "sinkhorn" in err
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "64" in lines[0] and "--w2-mode sinkhorn" in lines[0]
 
     def test_unknown_metric_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.otf"
@@ -469,6 +474,85 @@ def test_undecodable_input_exits_2_with_one_line(tmp_path, make_case):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert bad.name in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--source", "s.otf", "--reference", "r.otf", "--out", "o.otf",
+     "--epsilon", "abc"],
+    ["convert", "--source", "s.otf", "--reference", "r.otf", "--out", "o.otf",
+     "--k", "1.5"],
+    ["synth", "--task", "gauss_shift", "--out-dir", "d", "--n", "x"],
+])
+def test_malformed_flag_value_exits_2_with_one_line(argv):
+    proc = subprocess.run([sys.executable, "-m", "otconvert", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(argv[-1]) in lines[0]
+
+
+def test_every_flag_has_a_schema_key():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest not in ("help", "config"):
+                assert action.dest in SCHEMAS[command], (command, action.dest)
+
+
+# sha256 of the .run.cfg each argv resolves to at default settings: a changed
+# default, key, kind or value format changes it. The second field names the
+# file a real run writes, for the commands that are cheap at their defaults.
+_DEFAULT_RUN_CFGS = {
+    "convert-sinkvc": (
+        ["convert", "--source", "src.otf", "--reference", "ref.otf", "--out", "out.otf"],
+        "out.otf.run.cfg",
+        "43c0fde75ff8dc23bfcc58a04ad9e55b6d818ced6564d6cf8dae8fbc4d0801db"),
+    "convert-knn": (
+        ["convert", "--source", "src.otf", "--reference", "ref.otf",
+         "--method", "knn", "--out", "out.otf"],
+        "out.otf.run.cfg",
+        "78ba3336c63ace9c70b4d8e777240ad83b45d1e9fda86d8de6b5c17ee1421ae2"),
+    "convert-fmvc": (
+        ["convert", "--source", "src.otf", "--reference", "ref.otf",
+         "--method", "fmvc", "--out", "out.otf"],
+        None,
+        "01f93404e6e8b235e3163ea811197fa902cbeb49be1a430df5a86a92c7d04ee0"),
+    "train-fm": (
+        ["train-fm", "--source", "src.otf", "--reference", "ref.otf",
+         "--out-model", "field.otm"],
+        None,
+        "2f0b1b4321a40e303fa4d7d661af43afe370da38c5127b5c857ec1683c710174"),
+    "train-not": (
+        ["train-not", "--dataset-spec", "dataset.spec", "--out-model", "pair.otm"],
+        None,
+        "c36a4312a040eccf7ce5a592e406cb218b06ef5b15be7c2fd824db60a8608120"),
+    "eval": (
+        ["eval", "--a", "src.otf", "--b", "ref.otf", "--report", "metrics.json"],
+        "metrics.json.run.cfg",
+        "96d59397a91964ebead7738572b93d507fe053abf2baed3ac178e9f60333e311"),
+    "synth": (
+        ["synth", "--task", "gauss_shift", "--out-dir", "data"],
+        "data/run.cfg",
+        "7520db01d7a331d72f7b8e2ba191c53c157de9912b84014cfc96db1de74be57e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEFAULT_RUN_CFGS))
+def test_default_run_cfg_bytes(case, tmp_path, capsys, monkeypatch):
+    argv, written, digest = _DEFAULT_RUN_CFGS[case]
+    args = build_parser().parse_args(argv)
+    text = _config_text(_resolve(args, args.subcommand))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    if written is not None:
+        monkeypatch.chdir(tmp_path)
+        make_frames("src.otf", n=30, d=4, seed=20)
+        make_frames("ref.otf", n=30, d=4, seed=21, shift=0.5)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (tmp_path / written).read_text(encoding="utf-8") == text
 
 
 class TestSinkhornNonConvergence:

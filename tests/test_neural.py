@@ -188,6 +188,7 @@ class TestStructure:
         assert NotConfig().w_effective == 1.0
         assert NotConfig(extremal=True).w_effective == 12.0
         assert NotConfig(extremal=True, w=3.0).w_effective == 3.0
+        assert NotConfig(w=3.0).w_effective == 1.0
 
     def test_dataset_validation(self):
         with pytest.raises(ValidationError):
