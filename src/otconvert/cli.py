@@ -39,7 +39,7 @@ from .fileio import (REQUIRED, _format_value, atomic_write_text,
                      format_kv_text, parse_kv_text, read_feature_file,
                      read_text_file, resolve_config, write_feature_file,
                      write_not_pair, write_velocity_field)
-from .flow import FlowConfig, fm_train, plan_pair_sampler
+from .flow import FlowConfig, fm_pipeline, fm_train, plan_pair_sampler
 from .metrics import (W2_MODES, frechet_distance, theorem1_check,
                       w2_squared_empirical)
 from .neural import LR_DECAYS, NotConfig, dataset_from_arrays, not_train
@@ -76,7 +76,7 @@ _SINKHORN_KEYS = {
 }
 _FLOW_KEYS = {
     **_schema_of(FlowConfig, "fm_"),
-    "cost": ("str", "cosine_distance"),
+    "cost": (COST_KINDS, "cosine_distance"),
 }
 
 SCHEMAS = {
@@ -85,7 +85,7 @@ SCHEMAS = {
         "seed": ("int", 0),
         "source": ("str", REQUIRED),
         "reference": ("str", REQUIRED),
-        "method": ("str", "sinkvc"),
+        "method": (METHODS, "sinkvc"),
         "k": ("int", 4),
         "model": ("str", ""),
         "out": ("str", REQUIRED),
@@ -110,19 +110,20 @@ SCHEMAS = {
         "out_model": ("str", REQUIRED),
         "loss_trace": ("str", ""),
         **_schema_of(NotConfig),
+        "lr_decay": (LR_DECAYS, NotConfig.lr_decay),
     },
     "eval": {
         "command": ("str", "eval"),
         "a": ("str", REQUIRED),
         "b": ("str", REQUIRED),
         "metrics": ("str", "w2,fd"),
-        "w2_mode": ("str", "auto"),
+        "w2_mode": (("auto", *W2_MODES), "auto"),
         "epsilon": ("float", 0.01),
         "report": ("str", ""),
     },
     "synth": {
         "command": ("str", "synth"),
-        "task": ("str", REQUIRED),
+        "task": (synth_tasks.TASK_NAMES, REQUIRED),
         "n": ("int", 500),
         "dim": ("int", 2),
         "seed": ("int", 0),
@@ -131,63 +132,42 @@ SCHEMAS = {
 }
 
 
+# each subcommand's help line and its flags' config keys, in --help order
+_FLAGS = {
+    "convert": ("convert source frames toward a reference",
+                ("source", "reference", "method", "epsilon", "k", "model", "out",
+                 "report", "seed", "cost")),
+    "train-fm": ("train a velocity field on plan pairs",
+                 ("source", "reference", "out_model", "seed", "epsilon", "cost")),
+    "train-not": ("train a conditional transport pair",
+                  ("dataset_spec", "out_model", "extremal", "w", "lr_decay", "seed")),
+    "eval": ("compare two feature files",
+             ("a", "b", "metrics", "w2_mode", "epsilon", "report")),
+    "synth": ("generate a synthetic dataset with ground truth",
+              ("task", "n", "dim", "seed", "out_dir")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per listed config key; values stay strings until _resolve."""
     parser = argparse.ArgumentParser(
         prog="otconvert",
         description="Optimal-transport feature conversion toolkit",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    convert = sub.add_parser("convert", help="convert source frames toward a reference")
-    convert.add_argument("--config")
-    convert.add_argument("--source")
-    convert.add_argument("--reference")
-    convert.add_argument("--method", choices=METHODS)
-    convert.add_argument("--epsilon")
-    convert.add_argument("--k")
-    convert.add_argument("--model")
-    convert.add_argument("--out")
-    convert.add_argument("--report")
-    convert.add_argument("--seed")
-    convert.add_argument("--cost", choices=COST_KINDS)
-
-    train_fm = sub.add_parser("train-fm", help="train a velocity field on plan pairs")
-    train_fm.add_argument("--config")
-    train_fm.add_argument("--source")
-    train_fm.add_argument("--reference")
-    train_fm.add_argument("--out-model", dest="out_model")
-    train_fm.add_argument("--seed")
-    train_fm.add_argument("--epsilon")
-    train_fm.add_argument("--cost", choices=COST_KINDS)
-
-    train_not = sub.add_parser("train-not", help="train a conditional transport pair")
-    train_not.add_argument("--config")
-    train_not.add_argument("--dataset-spec", dest="dataset_spec")
-    train_not.add_argument("--out-model", dest="out_model")
-    train_not.add_argument("--extremal", action=argparse.BooleanOptionalAction,
-                           default=None)
-    train_not.add_argument("--w")
-    train_not.add_argument("--lr-decay", dest="lr_decay", choices=LR_DECAYS)
-    train_not.add_argument("--seed")
-
-    evalp = sub.add_parser("eval", help="compare two feature files")
-    evalp.add_argument("--config")
-    evalp.add_argument("--a")
-    evalp.add_argument("--b")
-    evalp.add_argument("--metrics")
-    evalp.add_argument("--w2-mode", dest="w2_mode",
-                       choices=("auto", *W2_MODES))
-    evalp.add_argument("--epsilon")
-    evalp.add_argument("--report")
-
-    synthp = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
-    synthp.add_argument("--config")
-    synthp.add_argument("--task", choices=synth_tasks.TASK_NAMES)
-    synthp.add_argument("--n")
-    synthp.add_argument("--dim")
-    synthp.add_argument("--seed")
-    synthp.add_argument("--out-dir", dest="out_dir")
-
+    for command, (help_text, keys) in _FLAGS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("--config")
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            kind = SCHEMAS[command][key][0]
+            if kind == "bool":
+                cmd.add_argument(flag, dest=key, default=None,
+                                 action=argparse.BooleanOptionalAction)
+            elif isinstance(kind, tuple):
+                cmd.add_argument(flag, dest=key, metavar="{" + ",".join(kind) + "}")
+            else:
+                cmd.add_argument(flag, dest=key)
     return parser
 
 
@@ -248,8 +228,6 @@ def cmd_convert(resolved: dict) -> int:
     src = source.values.astype(np.float64)
     ref = reference.values.astype(np.float64)
     method = resolved["method"]
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {resolved['method']!r}")
     if method != "fmvc" and resolved["cost"] != "cosine_distance":
         raise ValidationError(f"--cost applies only to --method fmvc; {method}"
                               " always uses cosine_distance")
@@ -262,8 +240,6 @@ def cmd_convert(resolved: dict) -> int:
     elif method == "knn":
         converted, report = knn_convert(src, ref, k=resolved["k"])
     else:
-        from .flow import fm_pipeline
-
         field, converted, report = fm_pipeline(
             src, ref, _sinkhorn_config(resolved),
             _config_of(FlowConfig, resolved, "fm_"),
@@ -470,10 +446,6 @@ def _spec_lines(conditions) -> str:
 
 def cmd_synth(resolved: dict) -> int:
     task_name = resolved["task"]
-    if task_name not in synth_tasks.TASK_NAMES:
-        raise ValidationError(
-            f"unknown task {task_name!r}; choose from {', '.join(synth_tasks.TASK_NAMES)}"
-        )
     out_dir = resolved["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     rng = make_rng(resolved["seed"], "synth")

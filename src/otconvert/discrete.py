@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .errors import CapacityError, DomainError, NumericalError, ShapeError, ValidationError
+from .errors import (CapacityError, DomainError, NumericalError, ShapeError,
+                     ValidationError, reject_non_finite)
 from .linalg import logsumexp
 
 COST_KINDS = ("squared_euclidean", "cosine_distance")
@@ -61,6 +62,7 @@ class SinkhornConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        reject_non_finite(self)
         if not (self.epsilon > 0):
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if not (self.tolerance > 0):
@@ -401,22 +403,6 @@ def k_smallest_columns(keys, k: int) -> np.ndarray:
     counts = np.bincount(rows, minlength=keys.shape[0])
     starts = np.cumsum(counts) - counts
     return cols[order][starts[:, None] + np.arange(k)]
-
-
-def plan_barycentric_map(plan: TransportPlan, y):
-    """Coupling-weighted average of targets: row i -> Σⱼ πᵢⱼ yⱼ / Σⱼ πᵢⱼ."""
-    y = _as_rows(y, "y")
-    coupling = plan.coupling
-    if y.shape[0] != coupling.shape[1]:
-        raise ShapeError(
-            f"plan has {coupling.shape[1]} columns but y has {y.shape[0]} rows"
-        )
-    mass = coupling.sum(axis=1)
-    if np.any(mass <= 0.0):
-        raise DomainError(
-            f"plan row {int(np.argmin(mass))} carries no mass; cannot project"
-        )
-    return (coupling @ y) / mass[:, None]
 
 
 def sample_index_pairs(plan: TransportPlan, count: int, rng: np.random.Generator):

@@ -4,6 +4,9 @@ The CLI maps these onto stable exit codes: validation-type errors exit 2,
 numerical failures exit 3, training divergence exits 4.
 """
 
+import math
+from dataclasses import fields
+
 
 class ValidationError(ValueError):
     """Bad arguments: malformed marginals, mismatched dims, unknown keys."""
@@ -31,3 +34,14 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def reject_non_finite(config):
+    """Reject nan and inf in a settings dataclass's float fields, naming the field.
+
+    Range checks alone let nan through: every comparison with it is False.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value}")

@@ -1,4 +1,4 @@
-"""Binary feature/model formats, flat-text run configs, CSV interop.
+"""Binary feature/model formats and flat-text run configs.
 
 Feature file layout (little-endian throughout):
 
@@ -317,8 +317,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def coerce_value(key: str, raw: str, kind: str):
-    """Parse one config value by declared kind; errors name the key."""
+def coerce_value(key: str, raw: str, kind: str | tuple):
+    """Parse one config value by declared kind; errors name the key.
+
+    A tuple kind lists the allowed strings.
+    """
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValidationError(f"config key {key!r}: {raw!r} is not one of"
+                                  f" {', '.join(kind)}")
+        return raw
     try:
         if kind == "int":
             return int(raw)
@@ -368,34 +376,3 @@ class _Required:
 
 
 REQUIRED = _Required()
-
-
-def export_csv(path, values):
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeError(f"CSV export needs a 2-d array, got shape {values.shape}")
-    lines = [",".join(repr(v) for v in row) for row in values.tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def import_csv(path) -> np.ndarray:
-    rows = []
-    width = None
-    for lineno, raw in enumerate(read_text_file(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            row = [float(part) for part in line.split(",")]
-        except ValueError:
-            raise ValidationError(f"{path}: line {lineno} is not numeric")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValidationError(
-                f"{path}: line {lineno} has {len(row)} columns, expected {width}"
-            )
-        rows.append(row)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)

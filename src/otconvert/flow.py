@@ -15,7 +15,8 @@ import numpy as np
 
 from .convert import plan_report
 from .discrete import SinkhornConfig, cost_matrix, sample_pairs_from_plan, sinkhorn
-from .errors import DivergenceError, NumericalError, ShapeError, ValidationError
+from .errors import (DivergenceError, NumericalError, ShapeError, ValidationError,
+                     reject_non_finite)
 from .nn import (
     MlpModel,
     _forward_cached,
@@ -39,6 +40,7 @@ class FlowConfig:
     ode_method: str = "euler"
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
         if self.ode_steps < 1:

@@ -17,8 +17,8 @@ from .errors import DomainError
 PSD_EIG_FLOOR = -1e-10
 
 
-def logsumexp(a: np.ndarray, axis: int | None = None, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(a))) with max-subtraction so 1e300-scale inputs never overflow.
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis; max-subtraction keeps 1e300-scale inputs finite.
 
     Rows that are entirely -inf produce -inf, not NaN.
     """
@@ -27,22 +27,19 @@ def logsumexp(a: np.ndarray, axis: int | None = None, keepdims: bool = False) ->
     amax = np.where(np.isfinite(amax), amax, 0.0)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
-    if not keepdims and axis is not None:
-        out = np.squeeze(out, axis=axis)
-    elif not keepdims:
-        out = out.reshape(())
-    return out
+    return np.squeeze(out, axis=axis)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def matrix_sqrt_psd(a: np.ndarray, eig_floor: float = PSD_EIG_FLOOR) -> np.ndarray:
+def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    The input is symmetrized first; eigenvalues in [eig_floor, 0) are
-    clamped to zero, anything below ``eig_floor`` raises ``DomainError``.
+    The input is symmetrized first; eigenvalues in
+    [PSD_EIG_FLOOR * max(|largest|, 1), 0) are clamped to zero, anything
+    lower raises ``DomainError``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -50,20 +47,9 @@ def matrix_sqrt_psd(a: np.ndarray, eig_floor: float = PSD_EIG_FLOOR) -> np.ndarr
     sym = symmetrize(a)
     vals, vecs = np.linalg.eigh(sym)
     scale = max(abs(vals[-1]), 1.0)
-    if vals[0] < eig_floor * scale:
+    if vals[0] < PSD_EIG_FLOOR * scale:
         raise DomainError(
             f"matrix not PSD: smallest eigenvalue {vals[0]:.3e} below tolerance"
         )
     vals = np.clip(vals, 0.0, None)
     return symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
-
-
-def spd_inverse_sqrt(a: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive-definite matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    vals, vecs = np.linalg.eigh(symmetrize(a))
-    if vals[0] <= 0.0:
-        raise DomainError(
-            f"matrix not positive definite: smallest eigenvalue {vals[0]:.3e}"
-        )
-    return symmetrize((vecs / np.sqrt(vals)) @ vecs.T)

@@ -29,7 +29,7 @@ from .discrete import (
     sinkhorn,
 )
 from .errors import DomainError, ShapeError, ValidationError
-from .linalg import matrix_sqrt_psd, spd_inverse_sqrt, symmetrize
+from .linalg import matrix_sqrt_psd, symmetrize
 
 W2_MODES = ("exact_small", "sinkhorn")
 
@@ -101,25 +101,6 @@ def w2_squared_gaussian(g1: GaussianStats, g2: GaussianStats) -> float:
     value = float(np.sum((m1 - m2) ** 2) + np.trace(c1 + c2) - 2.0 * np.trace(cross))
     # exact zero is reachable only symbolically
     return max(value, 0.0)
-
-
-def gaussian_ot_map(g1: GaussianStats, g2: GaussianStats):
-    """Optimal transport map between Gaussians as a pair (A, b), T(x) = Ax + b.
-
-    A = Σ1^{-1/2} (Σ1^{1/2} Σ2 Σ1^{1/2})^{1/2} Σ1^{-1/2}; b carries the means.
-    Pushing g1 through T reproduces g2's moments exactly. Σ1 must be
-    strictly positive definite.
-    """
-    m1, c1 = _check_stats(g1, "g1")
-    m2, c2 = _check_stats(g2, "g2")
-    if m1.shape != m2.shape:
-        raise ShapeError(f"dimension mismatch: {m1.shape} vs {m2.shape}")
-    root1 = matrix_sqrt_psd(c1)
-    inv_root1 = spd_inverse_sqrt(c1)
-    middle = matrix_sqrt_psd(symmetrize(root1 @ c2 @ root1))
-    a = symmetrize(inv_root1 @ middle @ inv_root1)
-    b = m2 - a @ m1
-    return a, b
 
 
 def w2_squared_empirical(x, y, mode: str | None = None,

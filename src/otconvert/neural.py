@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .errors import DivergenceError, ShapeError, ValidationError
+from .errors import DivergenceError, ShapeError, ValidationError, reject_non_finite
 from .metrics import THEOREM1_SLACK, frechet_distance, w2_squared_empirical
 from .nn import (
     MlpModel,
@@ -130,6 +130,7 @@ class NotConfig:
     eval_samples: int = 64
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.inner_steps < 1:
             raise ValidationError("inner_steps must be >= 1")
         if self.total_outer_iterations < 1:
@@ -290,14 +291,11 @@ def _checkpoint(pair, dataset, cfg, rng, iteration) -> Checkpoint:
     return Checkpoint(iteration=iteration, conditions=evals)
 
 
-def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Generator,
-              stop_check=None):
+def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Generator):
     """Train the maximin pair. Returns (NotModelPair, TrainTrace).
 
     cfg.extremal selects the extremal objective (nonpositive potential,
     target term scaled by cfg.w); otherwise the plain game is trained.
-    stop_check(iteration, pair, checkpoint) -> bool is consulted at every
-    checkpoint; returning True ends training early.
     """
     pair = _init_pair(dataset.dim, dataset.condition_dim, cfg, rng)
     pot_params, map_params = pair.potential_model.params, pair.map_model.params
@@ -328,10 +326,7 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
                 trace=trace,
             )
         if iteration % cfg.checkpoint_every == 0 or iteration == cfg.total_outer_iterations:
-            checkpoint = _checkpoint(pair, dataset, cfg, rng, iteration)
-            trace.checkpoints.append(checkpoint)
-            if stop_check is not None and stop_check(iteration, pair, checkpoint):
-                break
+            trace.checkpoints.append(_checkpoint(pair, dataset, cfg, rng, iteration))
     return pair, trace
 
 

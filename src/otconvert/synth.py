@@ -7,7 +7,7 @@ against an oracle instead of eyeballing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,11 +10,16 @@ import sys
 import numpy as np
 import pytest
 
-from otconvert.cli import SCHEMAS, _config_text, _resolve, build_parser, entry
+from otconvert.cli import (METHODS, SCHEMAS, _config_text, _resolve, build_parser,
+                           entry)
+from otconvert.discrete import COST_KINDS
 from otconvert.fileio import (parse_kv_text, read_feature_file,
                               read_not_pair, read_velocity_field,
                               write_feature_file)
+from otconvert.metrics import W2_MODES
+from otconvert.neural import LR_DECAYS
 from otconvert.rng import make_rng
+from otconvert.synth import TASK_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +320,28 @@ class TestTrainNot:
         assert code == 2
         assert "w" in err
 
+    @pytest.mark.parametrize("flags, config_line, key", [
+        (["--extremal", "--w", "nan"], "", "w"),
+        ([], "divergence_guard = nan\n", "divergence_guard"),
+    ], ids=["w", "divergence_guard"])
+    def test_non_finite_float_exits_2_naming_key(self, tmp_path, capsys,
+                                                 flags, config_line, key):
+        spec = self._dataset(tmp_path, capsys)
+        model = tmp_path / "p.otm"
+        cfg = tmp_path / "not.cfg"
+        cfg.write_text("command = train-not\n"
+                       "hidden_dims = 8\n"
+                       "total_outer_iterations = 5\n" + config_line)
+        code, stdout, err = run_cli(capsys, "train-not", "--config", cfg,
+                                    "--dataset-spec", spec, "--out-model", model,
+                                    *flags)
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == f"error: {key} must be finite, got nan"
+        assert not model.exists()
+
     def test_divergence_guard_exits_4_with_trace(self, tmp_path, capsys):
         spec = self._dataset(tmp_path, capsys)
         model = tmp_path / "p.otm"
@@ -493,13 +520,75 @@ def test_malformed_flag_value_exits_2_with_one_line(argv):
     assert repr(argv[-1]) in lines[0]
 
 
-def test_every_flag_has_a_schema_key():
-    subparsers = next(action for action in build_parser()._actions
+def _subparser(command):
+    parser = build_parser()
+    if command is None:
+        return parser
+    subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
-    for command, parser in subparsers.choices.items():
-        for action in parser._actions:
+    return subparsers.choices[command]
+
+
+def test_every_flag_has_a_schema_key():
+    for command in SCHEMAS:
+        for action in _subparser(command)._actions:
             if action.dest not in ("help", "config"):
                 assert action.dest in SCHEMAS[command], (command, action.dest)
+
+
+# sha256 of each `COLUMNS=80 python -m otconvert [command] --help` text;
+# argparse wraps to the terminal width, hence the pinned width
+_HELP_DIGESTS = {
+    None: "c82cf6916f2667b796e943fbff026d076fb576008f99059f5a7766ebfb288953",
+    "convert": "0c99013dbb6377d7f0b2fe4b33f3bf9a0e264c3b2e2d7ea63e672648e71d232c",
+    "train-fm": "9c849980cc6e2826e5875779f85173de74d9be1fffdd915ea68fee3af36d15db",
+    "train-not": "aa0a845f92cecf48a7eef1033042a4f64c7b3502a431cbef5a5ab890d0a55860",
+    "eval": "aded6f027b76e9e8be1b46f60130fb46b64de80b054b01dc5d6462fb5932e3fd",
+    "synth": "7bb81502de2b3f66d28466e44146b95007d146daf8f302eae87da3d0ffc77079",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_DIGESTS))
+def test_help_text_bytes(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = _subparser(command).format_help()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _HELP_DIGESTS[command]
+
+
+# (config key, allowed values, argv that is valid up to that key)
+_CHOICE_CASES = [
+    ("method", METHODS, ["convert", "--source", "s.otf", "--reference", "r.otf",
+                         "--out", "o.otf"]),
+    ("cost", COST_KINDS, ["convert", "--source", "s.otf", "--reference", "r.otf",
+                          "--out", "o.otf"]),
+    ("w2_mode", ("auto", *W2_MODES), ["eval", "--a", "a.otf", "--b", "b.otf",
+                                      "--report", "m.json"]),
+    ("task", TASK_NAMES, ["synth", "--out-dir", "d"]),
+    ("lr_decay", LR_DECAYS, ["train-not", "--dataset-spec", "x.spec",
+                             "--out-model", "p.otm"]),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key, allowed, argv", _CHOICE_CASES,
+                         ids=[case[0] for case in _CHOICE_CASES])
+def test_bad_choice_exits_2_with_one_line(key, allowed, argv, via, tmp_path,
+                                         capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if via == "flag":
+        argv = [*argv, "--" + key.replace("_", "-"), "bogus"]
+    else:
+        (tmp_path / "bad.cfg").write_text(f"command = {argv[0]}\n{key} = bogus\n")
+        argv = [*argv, "--config", "bad.cfg"]
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(key) in lines[0] and "'bogus'" in lines[0]
+    assert all(value in lines[0] for value in allowed)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # sha256 of the .run.cfg each argv resolves to at default settings: a changed

@@ -14,7 +14,6 @@ from otconvert.discrete import (
     cost_matrix,
     exact_ot,
     k_smallest_columns,
-    plan_barycentric_map,
     plan_top_k_map,
     sample_index_pairs,
     sample_pairs_from_plan,
@@ -413,33 +412,6 @@ def test_top_k_validates_k():
         plan_top_k_map(plan, y, k=0)
     with pytest.raises(ValidationError):
         plan_top_k_map(plan, y, k=4)
-
-
-def test_barycentric_identity_and_uniform():
-    rng = make_rng(16, "root")
-    y = rng.normal(size=(4, 3))
-    ident = _plan_from(np.eye(4) / 4)
-    np.testing.assert_allclose(plan_barycentric_map(ident, y), y, atol=1e-14)
-    uni = _plan_from(np.ones((6, 4)) / 24)
-    np.testing.assert_allclose(
-        plan_barycentric_map(uni, y), np.tile(y.mean(axis=0), (6, 1)), atol=1e-14
-    )
-
-
-def test_barycentric_matches_naive_loop():
-    rng = make_rng(17, "root")
-    y = rng.normal(size=(5, 2))
-    coupling = rng.uniform(size=(3, 5))
-    out = plan_barycentric_map(_plan_from(coupling), y)
-    for i in range(3):
-        want = sum(coupling[i, j] * y[j] for j in range(5)) / coupling[i].sum()
-        np.testing.assert_allclose(out[i], want, rtol=1e-12)
-
-
-def test_barycentric_zero_row_mass_errors():
-    coupling = np.array([[0.5, 0.5], [0.0, 0.0]])
-    with pytest.raises(DomainError, match="row 1"):
-        plan_barycentric_map(_plan_from(coupling), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------- sampling

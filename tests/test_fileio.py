@@ -9,9 +9,7 @@ import pytest
 from otconvert.errors import ShapeError, ValidationError
 from otconvert.fileio import (
     REQUIRED,
-    export_csv,
     format_kv_text,
-    import_csv,
     parse_kv_text,
     read_feature_file,
     read_not_pair,
@@ -354,34 +352,3 @@ class TestKvConfig:
         with pytest.raises(ValidationError, match="epsilon"):
             resolve_config({"epsilon": "abc"}, {"epsilon": ("float", 0.1)})
 
-
-class TestCsv:
-    def test_round_trip_exact(self, tmp_path):
-        path = tmp_path / "m.csv"
-        values = make_rng(11).normal(size=(6, 4))
-        export_csv(path, values)
-        assert np.array_equal(import_csv(path), values)
-
-    def test_rejects_ragged_rows(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("1,2,3\n4,5\n")
-        with pytest.raises(ValidationError, match="line 2"):
-            import_csv(path)
-
-    def test_rejects_non_numeric(self, tmp_path):
-        path = tmp_path / "n.csv"
-        path.write_text("1,2\nx,4\n")
-        with pytest.raises(ValidationError, match="line 2"):
-            import_csv(path)
-
-    def test_rejects_empty(self, tmp_path):
-        path = tmp_path / "e.csv"
-        path.write_text("\n")
-        with pytest.raises(ValidationError, match="no data"):
-            import_csv(path)
-
-    def test_rejects_undecodable_bytes_naming_the_file(self, tmp_path):
-        path = tmp_path / "u.csv"
-        path.write_bytes(b"1,2\n\xff,4\n")
-        with pytest.raises(ValidationError, match="u.csv: not valid UTF-8"):
-            import_csv(path)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from otconvert.discrete import SinkhornConfig
 from otconvert.errors import CapacityError, DomainError, ValidationError
@@ -9,7 +10,6 @@ from otconvert.metrics import (
     GaussianStats,
     frechet_distance,
     gaussian_fit,
-    gaussian_ot_map,
     theorem1_check,
     w2_squared_empirical,
     w2_squared_gaussian,
@@ -126,55 +126,18 @@ def test_w2_gaussian_rejects_bad_covariances():
         w2_squared_gaussian(good, _stats([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]]))
 
 
-# ------------------------------------------------------------- Gaussian map
-
-
-def test_gaussian_map_identity_covariances():
-    g1 = _stats([1.0, 2.0], np.eye(2))
-    g2 = _stats([-3.0, 5.0], np.eye(2))
-    a, b = gaussian_ot_map(g1, g2)
-    np.testing.assert_allclose(a, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(b, [-4.0, 3.0], atol=1e-12)
-
-
-def test_gaussian_map_scalar_ratio():
-    a, b = gaussian_ot_map(_stats([0.0], [[1.0]]), _stats([0.0], [[4.0]]))
-    np.testing.assert_allclose(a, [[2.0]], atol=1e-12)
-
-
-def test_gaussian_map_pushforward_moments():
-    rng = make_rng(26, "root")
-    q1 = rng.normal(size=(3, 3))
-    q2 = rng.normal(size=(3, 3))
-    g1 = _stats(rng.normal(size=3), q1 @ q1.T + 0.3 * np.eye(3))
-    g2 = _stats(rng.normal(size=3), q2 @ q2.T + 0.3 * np.eye(3))
-    a, b = gaussian_ot_map(g1, g2)
-    np.testing.assert_allclose(a @ g1.covariance @ a.T, g2.covariance, atol=1e-8)
-    np.testing.assert_allclose(a @ g1.mean + b, g2.mean, atol=1e-10)
-
-
-def test_gaussian_map_transport_cost_matches_closed_form():
-    # E‖x − T(x)‖² under g1 equals the closed-form distance
+def test_w2_gaussian_full_covariances_match_sqrtm_reference():
+    # non-commuting covariances; the reference takes Tr((Σ1 Σ2)^{1/2}) from
+    # scipy's general matrix root of the unsymmetrized product
     rng = make_rng(27, "root")
-    q1 = rng.normal(size=(2, 2))
-    g1 = _stats(rng.normal(size=2), q1 @ q1.T + 0.2 * np.eye(2))
-    g2 = _stats(rng.normal(size=2), np.diag([0.5, 2.0]))
-    a, b = gaussian_ot_map(g1, g2)
-    d = np.eye(2) - a
-    expected_cost = (
-        float((d @ g1.mean - b + g2.mean - g2.mean) @ (d @ g1.mean - b))
-        + float(np.trace(d @ g1.covariance @ d.T))
-    )
-    # ‖(I−A)m1 − b‖² + Tr((I−A)Σ1(I−A)ᵀ)
-    shift = (np.eye(2) - a) @ g1.mean - b
-    expected_cost = float(shift @ shift) + float(np.trace(d @ g1.covariance @ d.T))
-    assert expected_cost == pytest.approx(w2_squared_gaussian(g1, g2), rel=1e-8)
-
-
-def test_gaussian_map_rejects_singular_source():
-    with pytest.raises(DomainError):
-        gaussian_ot_map(_stats([0.0, 0.0], np.diag([1.0, 0.0])),
-                        _stats([0.0, 0.0], np.eye(2)))
+    for _ in range(5):
+        q1, q2 = rng.normal(size=(2, 3, 3))
+        g1 = _stats(rng.normal(size=3), q1 @ q1.T + 0.2 * np.eye(3))
+        g2 = _stats(rng.normal(size=3), q2 @ q2.T + 0.2 * np.eye(3))
+        cross = np.real(scipy.linalg.sqrtm(g1.covariance @ g2.covariance))
+        want = (float(np.sum((g1.mean - g2.mean) ** 2))
+                + np.trace(g1.covariance + g2.covariance) - 2.0 * np.trace(cross))
+        assert w2_squared_gaussian(g1, g2) == pytest.approx(want, rel=1e-8)
 
 
 # ------------------------------------------------------------- fits and FD
