@@ -27,14 +27,15 @@ _configure_threads()
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
 
 from .convert import knn_convert, sinkvc_convert
-from .discrete import COST_KINDS, SinkhornConfig, cost_matrix, sinkhorn
-from .errors import (CapacityError, DivergenceError, NumericalError,
-                     ValidationError)
+from .discrete import COST_KINDS, SinkhornConfig, cost_matrix, shortfall, sinkhorn
+from .errors import (CapacityError, ConvergenceWarning, DivergenceError,
+                     NumericalError, SettingError, ValidationError)
 from .fileio import (REQUIRED, _format_value, atomic_write_text,
                      format_kv_text, parse_kv_text, read_feature_file,
                      read_text_file, resolve_config, write_feature_file,
@@ -58,24 +59,33 @@ _KINDS = {bool: "bool", int: "int", float: "float", str: "str",
           tuple: "int_tuple", type(None): "optional_float"}
 
 
-def _schema_of(cls, prefix: str = "") -> dict:
-    """Config keys of a settings dataclass: prefix + field name -> (kind, default)."""
-    return {prefix + f.name: (_KINDS[type(f.default)], f.default)
-            for f in fields(cls)}
+def _keys_of(cls, prefix: str = "") -> dict:
+    """Config key of each field of a settings dataclass: prefix + field name."""
+    return {f.name: prefix + f.name for f in fields(cls)}
 
 
-def _config_of(cls, resolved: dict, prefix: str = ""):
-    """Build a settings dataclass from the resolved keys _schema_of declared."""
-    return cls(**{f.name: resolved[prefix + f.name] for f in fields(cls)})
+# the settings dataclasses behind config keys, as field -> config key
+_SINKHORN_FIELDS = {**_keys_of(SinkhornConfig, "sinkhorn_"), "epsilon": "epsilon"}
+_FLOW_FIELDS = _keys_of(FlowConfig, "fm_")
+_NOT_FIELDS = _keys_of(NotConfig)
 
 
-_SINKHORN_KEYS = {
-    "epsilon": ("float", 0.1),
-    "sinkhorn_max_iterations": ("int", 10_000),
-    "sinkhorn_tolerance": ("float", 1e-6),
-}
+def _schema_of(cls, keys: dict) -> dict:
+    """Schema entries of a settings dataclass: config key -> (kind, default)."""
+    return {keys[f.name]: (_KINDS[type(f.default)], f.default) for f in fields(cls)}
+
+
+def _config_of(cls, resolved: dict, keys: dict):
+    """Build a settings dataclass from resolved keys; errors name the config key."""
+    try:
+        return cls(**{field: resolved[key] for field, key in keys.items()})
+    except SettingError as err:
+        raise ValidationError(f"{keys[err.field]} {err.problem}") from None
+
+
+_SINKHORN_KEYS = _schema_of(SinkhornConfig, _SINKHORN_FIELDS)
 _FLOW_KEYS = {
-    **_schema_of(FlowConfig, "fm_"),
+    **_schema_of(FlowConfig, _FLOW_FIELDS),
     "cost": (COST_KINDS, "cosine_distance"),
 }
 
@@ -109,7 +119,7 @@ SCHEMAS = {
         "dataset_spec": ("str", REQUIRED),
         "out_model": ("str", REQUIRED),
         "loss_trace": ("str", ""),
-        **_schema_of(NotConfig),
+        **_schema_of(NotConfig, _NOT_FIELDS),
         "lr_decay": (LR_DECAYS, NotConfig.lr_decay),
     },
     "eval": {
@@ -205,21 +215,12 @@ def _print_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _sinkhorn_config(resolved) -> SinkhornConfig:
-    return SinkhornConfig(
-        epsilon=resolved["epsilon"],
-        max_iterations=resolved["sinkhorn_max_iterations"],
-        tolerance=resolved["sinkhorn_tolerance"],
-    )
-
-
 def _warn_if_unconverged(plan, resolved):
     """One stderr line when a Sinkhorn plan stopped short of its tolerance."""
-    if plan.marginal_error >= resolved["sinkhorn_tolerance"]:
-        print(f"warning: Sinkhorn stopped after {plan.iterations_used} iterations"
-              f" at marginal error {plan.marginal_error:.3g}, above the tolerance"
-              f" {resolved['sinkhorn_tolerance']:g}; raise epsilon or"
-              " sinkhorn_max_iterations", file=sys.stderr)
+    message = shortfall(plan, resolved["sinkhorn_tolerance"])
+    if message:
+        print(f"warning: {message}; raise epsilon or sinkhorn_max_iterations",
+              file=sys.stderr)
 
 
 def cmd_convert(resolved: dict) -> int:
@@ -234,15 +235,16 @@ def cmd_convert(resolved: dict) -> int:
 
     report_extra = {}
     if method == "sinkvc":
-        converted, report = sinkvc_convert(src, ref, cfg=_sinkhorn_config(resolved),
-                                           k=resolved["k"])
+        converted, report = sinkvc_convert(
+            src, ref, cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS),
+            k=resolved["k"])
         _warn_if_unconverged(report.plan_stats, resolved)
     elif method == "knn":
         converted, report = knn_convert(src, ref, k=resolved["k"])
     else:
         field, converted, report = fm_pipeline(
-            src, ref, _sinkhorn_config(resolved),
-            _config_of(FlowConfig, resolved, "fm_"),
+            src, ref, _config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS),
+            _config_of(FlowConfig, resolved, _FLOW_FIELDS),
             make_rng(resolved["seed"], "train"), cost_kind=resolved["cost"])
         _warn_if_unconverged(report.plan_stats, resolved)
         if resolved["model"]:
@@ -277,12 +279,12 @@ def cmd_train_fm(resolved: dict) -> int:
     source = read_feature_file(resolved["source"]).values.astype(np.float64)
     reference = read_feature_file(resolved["reference"]).values.astype(np.float64)
     cost = cost_matrix(source, reference, resolved["cost"])
-    plan = sinkhorn(cost, cfg=_sinkhorn_config(resolved))
+    plan = sinkhorn(cost, cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS))
     _warn_if_unconverged(plan, resolved)
     trace_path = resolved["loss_trace"] or resolved["out_model"] + ".loss.csv"
     try:
         field = fm_train(plan_pair_sampler(plan, source, reference),
-                         _config_of(FlowConfig, resolved, "fm_"),
+                         _config_of(FlowConfig, resolved, _FLOW_FIELDS),
                          make_rng(resolved["seed"], "train"))
     except DivergenceError as err:
         if err.trace:
@@ -359,7 +361,7 @@ def parse_dataset_spec(path: str):
 def cmd_train_not(resolved: dict) -> int:
     entries = parse_dataset_spec(resolved["dataset_spec"])
     dataset = dataset_from_arrays(entries)
-    cfg = _config_of(NotConfig, resolved)
+    cfg = _config_of(NotConfig, resolved, _NOT_FIELDS)
     trace_path = resolved["loss_trace"] or resolved["out_model"] + ".loss.csv"
 
     def trace_rows(trace):
@@ -408,26 +410,34 @@ def cmd_eval(resolved: dict) -> int:
     cfg = SinkhornConfig(epsilon=resolved["epsilon"])
     payload: dict = {"a": resolved["a"], "b": resolved["b"],
                      "n_a": int(a.shape[0]), "n_b": int(b.shape[0])}
-    try:
-        # w2 is reported in the unit convention (2x the half-squared-cost
-        # optimum), so it is directly comparable to fd and theorem1.two_w2sq;
-        # when theorem1 is asked for, its two sides are those same values
-        if "theorem1" in wanted:
-            fd, w2_squared, holds = theorem1_check(a, b, mode=mode, cfg=cfg)
-            payload["theorem1"] = {"fd": fd, "two_w2sq": w2_squared,
-                                   "holds": bool(holds)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        try:
+            # w2 is reported in the unit convention (2x the half-squared-cost
+            # optimum), so it is directly comparable to fd and theorem1.two_w2sq;
+            # when theorem1 is asked for, its two sides are those same values
+            if "theorem1" in wanted:
+                fd, w2_squared, holds = theorem1_check(a, b, mode=mode, cfg=cfg)
+                payload["theorem1"] = {"fd": fd, "two_w2sq": w2_squared,
+                                       "holds": bool(holds)}
+            else:
+                w2_squared = (2.0 * w2_squared_empirical(a, b, mode=mode, cfg=cfg)
+                              if "w2" in wanted else None)
+                fd = frechet_distance(a, b) if "fd" in wanted else None
+            if "w2" in wanted:
+                payload["w2_squared"] = w2_squared
+            if "fd" in wanted:
+                payload["frechet"] = fd
+        except CapacityError as err:
+            raise ValidationError(
+                f"{err}; rerun with --w2-mode sinkhorn"
+            ) from err
+    for caught_warning in caught:
+        if caught_warning.category is ConvergenceWarning:
+            print(f"warning: {caught_warning.message}; raise --epsilon", file=sys.stderr)
         else:
-            w2_squared = (2.0 * w2_squared_empirical(a, b, mode=mode, cfg=cfg)
-                          if "w2" in wanted else None)
-            fd = frechet_distance(a, b) if "fd" in wanted else None
-        if "w2" in wanted:
-            payload["w2_squared"] = w2_squared
-        if "fd" in wanted:
-            payload["frechet"] = fd
-    except CapacityError as err:
-        raise ValidationError(
-            f"{err}; rerun with --w2-mode sinkhorn"
-        ) from err
+            warnings.warn_explicit(caught_warning.message, caught_warning.category,
+                                   caught_warning.filename, caught_warning.lineno)
     _print_json(payload)
     if resolved["report"]:
         _write_json(resolved["report"], payload)

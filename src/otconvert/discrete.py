@@ -8,14 +8,15 @@ post-processing steps that turn a coupling into a frame mapping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .errors import (CapacityError, DomainError, NumericalError, ShapeError,
-                     ValidationError, reject_non_finite)
+from .errors import (CapacityError, DomainError, NumericalError, SettingError,
+                     ShapeError, ValidationError, reject_non_finite)
 from .linalg import logsumexp
 
 COST_KINDS = ("squared_euclidean", "cosine_distance")
@@ -35,6 +36,14 @@ _COST_BLOCK_ELEMS = 1 << 22
 _SCALING_BOUND = 1e10
 _KERNEL_FLOOR = np.finfo(np.float64).tiny * _SCALING_BOUND
 _SUM_FLOOR = 1e-200
+
+# the length of sinkhorn's plain warm-up, and the spacing of the plain,
+# tested iterations among the relaxed ones after it
+_WARMUP_ITERATIONS = 100
+# a relaxed step is ω times the plain one with its ratio clipped to
+# [1/_STEP_BOUND, _STEP_BOUND]; with ω < 2 the power of such a ratio, and the
+# scaling it yields, stay far inside the float range
+_STEP_BOUND = 1e100
 
 
 @dataclass
@@ -64,11 +73,11 @@ class SinkhornConfig:
     def __post_init__(self):
         reject_non_finite(self)
         if not (self.epsilon > 0):
-            raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
+            raise SettingError("epsilon", f"must be > 0, got {self.epsilon}")
         if not (self.tolerance > 0):
-            raise ValidationError(f"tolerance must be > 0, got {self.tolerance}")
+            raise SettingError("tolerance", f"must be > 0, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+            raise SettingError("max_iterations", "must be >= 1")
 
 
 @dataclass
@@ -116,6 +125,18 @@ class TransportPlan:
                 f"cost shape {values.shape} != plan shape {self.coupling.shape}"
             )
         return float(np.sum(values * self.coupling))
+
+
+def shortfall(plan, tolerance: float) -> str:
+    """One line on where a solve stopped above tolerance; '' if it met it.
+
+    plan is a TransportPlan or anything else with its iterations_used and
+    marginal_error.
+    """
+    if plan.marginal_error < tolerance:
+        return ""
+    return (f"Sinkhorn stopped after {plan.iterations_used} iterations at marginal"
+            f" error {plan.marginal_error:.3g}, above the tolerance {tolerance:g}")
 
 
 def _as_rows(x, name) -> np.ndarray:
@@ -210,30 +231,77 @@ def _scaling_kernel(scaled, f, g, out=None) -> np.ndarray:
     return out
 
 
-def _usable(sums) -> bool:
-    """A kernel product is finite and has not underflowed toward 0."""
-    return bool(sums.min() >= _SUM_FLOOR and sums.max() < np.inf)
+def _within(sums, band) -> bool:
+    return bool(sums.min() >= band[0] and sums.max() <= band[1])
+
+
+# a kernel product in this band is finite and has not underflowed toward 0
+_USABLE = (_SUM_FLOOR, np.finfo(np.float64).max)
+
+
+def _relaxable(target) -> tuple:
+    """The band of kernel products whose relaxed update needs no clipping.
+
+    For a scaling within the scaling bound, a product in it keeps every
+    ratio target/(scaling·product) within [1/_STEP_BOUND, _STEP_BOUND]. It
+    lies inside _USABLE, since the target's largest entry is at least 1/n.
+    """
+    return (target.max() * _SCALING_BOUND / _STEP_BOUND,
+            target.min() * _STEP_BOUND / _SCALING_BOUND)
 
 
 def _drifted(scaling) -> bool:
     return bool(scaling.max() > _SCALING_BOUND or scaling.min() < 1.0 / _SCALING_BOUND)
 
 
-def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> TransportPlan:
-    """Entropic optimal transport via stabilized scaling iterations.
+def _over_relaxation(rate) -> float:
+    """ω = 2/(1+√(1−r)) for plain iterations' residual rate r; 1 unless r < 1."""
+    if not rate < 1.0:
+        return 1.0
+    return 2.0 / (1.0 + math.sqrt(1.0 - rate))
 
-    Alternates exact coordinate updates of the dual potentials f, g of the
+
+def _relax_scaling(scaling, target, sums, omega):
+    """scaling ← scaling·(target/(scaling·sums))^ω in place; sums is overwritten."""
+    ratio = np.divide(target, sums, out=sums)
+    ratio /= scaling
+    ratio **= omega
+    scaling *= ratio
+
+
+def _relaxed_potential(current, plain, omega):
+    """The log-domain relaxed step: current + ω·(plain − current), clipped."""
+    bound = math.log(_STEP_BOUND)
+    return current + omega * np.clip(plain - current, -bound, bound)
+
+
+def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> TransportPlan:
+    """Entropic optimal transport via stabilized, over-relaxed scaling iterations.
+
+    Alternates coordinate updates of the dual potentials f, g of the
     regularized problem. Each potential is an absorbed part, kept in the
     log domain, plus the log of a scaling (u or v) on the cached Gibbs
     kernel K = exp(−C/ε + f ⊕ g), so an update costs one matrix-vector
     product. A scaling that leaves [1/_SCALING_BOUND, _SCALING_BOUND] is
     absorbed into its potential and K rebuilt; a half step whose product
     underflows or is not finite is taken through logsumexp instead, so small
-    epsilon neither under- nor overflows. The iterates are those of the
-    log-domain iteration up to rounding. After a g update the column sums
-    match b exactly; convergence is declared when the row sums also match a
-    within cfg.tolerance. If the iteration budget runs out first the plan is
-    still returned and carries the achieved marginal_error.
+    epsilon neither under- nor overflows.
+
+    The first _WARMUP_ITERATIONS iterations are plain (exact) updates, the
+    iterates of the log-domain iteration up to rounding: after a g update the
+    column sums match b exactly, and convergence is declared when the row
+    sums also match a within cfg.tolerance. The residual's rate r over the
+    warm-up's second half then sets ω = 2/(1+√(1−r)), and the updates become
+    v ← v·(b/(v∘Kᵀu))^ω and u ← u·(a/(u∘Kv))^ω, still one product per half
+    step; a product that could push a ratio past _STEP_BOUND sends the half
+    step through logsumexp, with the ratio clipped. A relaxed update
+    overshoots, so neither marginal of its plan is exact; instead every
+    _WARMUP_ITERATIONS-th iteration stays plain and is tested as above,
+    which checks both marginals. When such a test finds the residual no
+    lower than at the previous one, the relaxed run has fallen behind plain
+    steps and the rest of the solve is plain. If the iteration budget runs
+    out first the plan is still returned and carries the achieved
+    marginal_error.
 
     Marginals default to uniform.
     """
@@ -246,40 +314,64 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     log_a = np.log(a)
     log_b = np.log(b)
     scaled = -values / cfg.epsilon
-    # the dual is (f + log u, g + log v) and its plan u_i K_ij v_j; after
-    # each g update the column sums are exact, so convergence reduces to
-    # the row-sum residual, and the product that measures it is the one
-    # the next f update needs
+    # the dual is (f + log u, g + log v) and its plan u_i K_ij v_j; after a
+    # plain g update the column sums are exact, so convergence reduces to the
+    # row-sum residual, and the product that measures it is the one the next
+    # f update needs
     f = log_a - logsumexp(scaled, axis=1)
     g = np.zeros(n)
     kernel = _scaling_kernel(scaled, f, g)
-    u, v = np.ones(m), np.ones(n)
+    scalings = np.ones(m + n)
+    u, v = scalings[:m], scalings[m:]
+    row_relaxable, col_relaxable = _relaxable(a), _relaxable(b)
+    omega = 1.0
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
+        step = 1.0 if iterations % _WARMUP_ITERATIONS == 0 else omega
         col = kernel.T @ u
-        if _usable(col):
-            v = b / col
+        if step == 1.0 and _within(col, _USABLE):
+            np.divide(b, col, out=v)
+        elif step != 1.0 and _within(col, col_relaxable):
+            _relax_scaling(v, b, col, step)
         else:
-            f, u = f + np.log(u), np.ones(m)
-            g, v = log_b - logsumexp(scaled + f[:, None], axis=0), np.ones(n)
+            f = f + np.log(u)
+            plain = log_b - logsumexp(scaled + f[:, None], axis=0)
+            g = plain if step == 1.0 else _relaxed_potential(g + np.log(v), plain, step)
+            scalings.fill(1.0)
             _scaling_kernel(scaled, f, g, out=kernel)
         row = kernel @ v
-        if _usable(row):
+        if _within(row, _USABLE if step == 1.0 else row_relaxable):
             log_row = None
-            row_mass = u * row
         else:
-            f, g, u, v = f + np.log(u), g + np.log(v), np.ones(m), np.ones(n)
+            f, g = f + np.log(u), g + np.log(v)
+            scalings.fill(1.0)
             log_row = logsumexp(scaled + g[None, :], axis=1)
-            row_mass = np.exp(f + log_row)
-        if np.abs(row_mass - a).max() < cfg.tolerance:
-            break
+        if step == 1.0:
+            row_mass = u * row if log_row is None else np.exp(f + log_row)
+            error = np.abs(row_mass - a).max()
+            if error < cfg.tolerance:
+                break
+            if iterations == _WARMUP_ITERATIONS // 2:
+                halfway = error
+            elif iterations == _WARMUP_ITERATIONS:
+                omega = _over_relaxation((error / halfway) ** (2.0 / _WARMUP_ITERATIONS))
+                previous = error
+            elif omega != 1.0:
+                if error >= previous:
+                    omega = 1.0
+                previous = error
         if log_row is not None:
-            f = log_a - log_row
+            plain = log_a - log_row
+            f = plain if step == 1.0 else _relaxed_potential(f, plain, step)
         else:
-            u = a / row
-            if not (_drifted(u) or _drifted(v)):
+            if step == 1.0:
+                np.divide(a, row, out=u)
+            else:
+                _relax_scaling(u, a, row, step)
+            if not _drifted(scalings):
                 continue
-            f, g, u, v = f + np.log(u), g + np.log(v), np.ones(m), np.ones(n)
+            f, g = f + np.log(u), g + np.log(v)
+            scalings.fill(1.0)
         _scaling_kernel(scaled, f, g, out=kernel)
     plan = _gibbs_kernel(scaled, f + np.log(u), g + np.log(v), out=kernel)
     row_err = np.abs(plan.sum(axis=1) - a).max()

@@ -12,6 +12,15 @@ class ValidationError(ValueError):
     """Bad arguments: malformed marginals, mismatched dims, unknown keys."""
 
 
+class SettingError(ValidationError):
+    """A settings dataclass field holds a bad value: "<field> <problem>"."""
+
+    def __init__(self, field, problem):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
 class ShapeError(ValidationError):
     """Array shape disagrees with a model or operation contract."""
 
@@ -26,6 +35,10 @@ class CapacityError(ValidationError):
 
 class NumericalError(RuntimeError):
     """Non-finite values or loss of precision during a computation."""
+
+
+class ConvergenceWarning(UserWarning):
+    """A solver stopped at its iteration budget, short of its tolerance."""
 
 
 class DivergenceError(RuntimeError):
@@ -44,4 +57,4 @@ def reject_non_finite(config):
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{f.name} must be finite, got {value}")
+            raise SettingError(f.name, f"must be finite, got {value}")

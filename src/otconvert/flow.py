@@ -15,8 +15,8 @@ import numpy as np
 
 from .convert import plan_report
 from .discrete import SinkhornConfig, cost_matrix, sample_pairs_from_plan, sinkhorn
-from .errors import (DivergenceError, NumericalError, ShapeError, ValidationError,
-                     reject_non_finite)
+from .errors import (DivergenceError, NumericalError, SettingError, ShapeError,
+                     ValidationError, reject_non_finite)
 from .nn import (
     MlpModel,
     _forward_cached,
@@ -42,15 +42,14 @@ class FlowConfig:
     def __post_init__(self):
         reject_non_finite(self)
         if self.iterations < 1:
-            raise ValidationError("iterations must be >= 1")
+            raise SettingError("iterations", "must be >= 1")
         if self.ode_steps < 1:
-            raise ValidationError("ode_steps must be >= 1")
+            raise SettingError("ode_steps", "must be >= 1")
         if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+            raise SettingError("batch_size", "must be >= 1")
         if self.ode_method not in ODE_METHODS:
-            raise ValidationError(
-                f"ode_method must be one of {ODE_METHODS}, got {self.ode_method!r}"
-            )
+            raise SettingError("ode_method",
+                               f"must be one of {ODE_METHODS}, got {self.ode_method!r}")
 
 
 @dataclass

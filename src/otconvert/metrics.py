@@ -14,6 +14,7 @@ both samples are Gaussian.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,9 +27,10 @@ from .discrete import (
     cost_matrix,
     exact_ot,
     project_to_marginals,
+    shortfall,
     sinkhorn,
 )
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import ConvergenceWarning, DomainError, ShapeError, ValidationError
 from .linalg import matrix_sqrt_psd, symmetrize
 
 W2_MODES = ("exact_small", "sinkhorn")
@@ -111,7 +113,8 @@ def w2_squared_empirical(x, y, mode: str | None = None,
     up to 64, uniform weights). mode "sinkhorn" reports the transport cost
     of an entropic plan at epsilon 0.01 after projecting it onto exact
     marginals; the value carries an upward entropic bias and never
-    undercuts the exact optimum. Default picks exact_small when it applies.
+    undercuts the exact optimum, and a plan that stops above its tolerance
+    issues a ConvergenceWarning. Default picks exact_small when it applies.
     """
     if mode not in (None, *W2_MODES):
         raise ValidationError(f"mode must be one of {W2_MODES}, got {mode!r}")
@@ -128,6 +131,8 @@ def w2_squared_empirical(x, y, mode: str | None = None,
         return value
     cfg = cfg or SinkhornConfig(epsilon=0.01)
     plan = sinkhorn(c, cfg=cfg)
+    if plan.marginal_error >= cfg.tolerance:
+        warnings.warn(shortfall(plan, cfg.tolerance), ConvergenceWarning, stacklevel=2)
     feasible = project_to_marginals(plan.coupling, plan.row_marginal,
                                     plan.col_marginal)
     return float(np.sum(c.values * feasible))

@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .errors import DivergenceError, ShapeError, ValidationError, reject_non_finite
+from .errors import (DivergenceError, SettingError, ShapeError, ValidationError,
+                     reject_non_finite)
 from .metrics import THEOREM1_SLACK, frechet_distance, w2_squared_empirical
 from .nn import (
     MlpModel,
@@ -132,15 +133,15 @@ class NotConfig:
     def __post_init__(self):
         reject_non_finite(self)
         if self.inner_steps < 1:
-            raise ValidationError("inner_steps must be >= 1")
+            raise SettingError("inner_steps", "must be >= 1")
         if self.total_outer_iterations < 1:
-            raise ValidationError("total_outer_iterations must be >= 1")
+            raise SettingError("total_outer_iterations", "must be >= 1")
         if self.w is not None and self.w < 1.0:
-            raise ValidationError(f"w must be >= 1, got {self.w}")
+            raise SettingError("w", f"must be >= 1, got {self.w}")
         if self.checkpoint_every < 1:
-            raise ValidationError("checkpoint_every must be >= 1")
+            raise SettingError("checkpoint_every", "must be >= 1")
         if self.lr_decay not in LR_DECAYS:
-            raise ValidationError(f"lr_decay must be 'none' or 'cosine', got {self.lr_decay!r}")
+            raise SettingError("lr_decay", f"must be 'none' or 'cosine', got {self.lr_decay!r}")
 
     def lr_scale(self, iteration: int) -> float:
         """Step-size multiplier for outer iteration `iteration` (1-based)."""
@@ -177,8 +178,11 @@ def potential_value(pair: NotModelPair, y, s) -> np.ndarray:
     return u[:, 0]
 
 
-def _potential_with_grads(pair, y, s, upstream_f):
-    """f values plus parameter/input grads of sum(upstream_f * f)."""
+def _potential_with_grads(pair, y, s, upstream_f, params=True):
+    """f values plus parameter/input grads of sum(upstream_f * f).
+
+    With params false the parameter gradient is skipped and returned as None.
+    """
     u, cache = _forward_cached(pair.potential_model, y, s=s)
     if pair.nonpositivity_transform:
         f = -np.logaddexp(0.0, u[:, 0])
@@ -187,7 +191,7 @@ def _potential_with_grads(pair, y, s, upstream_f):
         f = u[:, 0]
         up_u = upstream_f[:, None]
     grads, y_grad = mlp_backward(pair.potential_model, y, s=s, upstream=up_u,
-                                 cache=cache)
+                                 cache=cache, params=params)
     return f, grads, y_grad
 
 
@@ -227,7 +231,9 @@ def not_loss_map(pair: NotModelPair, x, s, cfg: NotConfig):
     n = x.shape[0]
     tx, cache = _forward_cached(pair.map_model, x, s=s)
     diff = tx - x
-    f_tx, _, f_y_grad = _potential_with_grads(pair, tx, s, np.full(n, -1.0 / n))
+    # the map step needs the potential's input gradient only
+    f_tx, _, f_y_grad = _potential_with_grads(pair, tx, s, np.full(n, -1.0 / n),
+                                              params=False)
     loss = float(0.5 * np.mean(np.sum(diff * diff, axis=1)) - f_tx.mean())
     if not np.isfinite(loss):
         raise DivergenceError("map loss became non-finite")

@@ -172,11 +172,13 @@ def mlp_forward(model: MlpModel, x, t=None, s=None) -> np.ndarray:
     return out
 
 
-def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None):
+def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None,
+                 params=True):
     """Gradients of <upstream, forward(x)> w.r.t. ``model.params`` and x.
 
-    Returns (grad, x_grad): grad is a flat vector in the ``params`` layout;
-    x_grad covers the x columns only, not the time/condition columns.
+    Returns (grad, x_grad): grad is a flat vector in the ``params`` layout,
+    or None when params is false and only x_grad is wanted; x_grad covers
+    the x columns only, not the time/condition columns.
     """
     if upstream is None:
         raise ShapeError("upstream gradient is required")
@@ -188,12 +190,13 @@ def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None):
         raise ShapeError(
             f"upstream gradient shape {upstream.shape} != output shape {post[-1].shape}"
         )
-    grad = np.empty_like(model.params)
-    views = model.split(grad)  # [W0, b0, W1, b1, ...]
+    grad = np.empty_like(model.params) if params else None
+    views = model.split(grad) if params else None  # [W0, b0, W1, b1, ...]
     g = upstream
     for layer in range(len(model.weights) - 1, -1, -1):
-        np.matmul(post[layer].T, g, out=views[2 * layer])
-        np.sum(g, axis=0, out=views[2 * layer + 1])
+        if params:
+            np.matmul(post[layer].T, g, out=views[2 * layer])
+            np.sum(g, axis=0, out=views[2 * layer + 1])
         g = g @ model.weights[layer].T
         if layer > 0:
             h = post[layer]  # activation of the layer below

@@ -12,7 +12,7 @@ import pytest
 
 from otconvert.cli import (METHODS, SCHEMAS, _config_text, _resolve, build_parser,
                            entry)
-from otconvert.discrete import COST_KINDS
+from otconvert.discrete import COST_KINDS, SinkhornConfig, cost_matrix, sinkhorn
 from otconvert.fileio import (parse_kv_text, read_feature_file,
                               read_not_pair, read_velocity_field,
                               write_feature_file)
@@ -644,11 +644,15 @@ def test_default_run_cfg_bytes(case, tmp_path, capsys, monkeypatch):
         assert (tmp_path / written).read_text(encoding="utf-8") == text
 
 
+# a budget the ε=1e-4 plans below cannot meet
+_SHORT_BUDGET = 50
+
+
 class TestSinkhornNonConvergence:
-    def _data(self, tmp_path, capsys):
+    def _data(self, tmp_path, capsys, task="gauss_shift", n=50, dim=4, seed=3):
         data = tmp_path / "data"
-        run_cli(capsys, "synth", "--task", "gauss_shift", "--n", 50,
-                "--dim", 4, "--seed", 3, "--out-dir", data)
+        run_cli(capsys, "synth", "--task", task, "--n", n,
+                "--dim", dim, "--seed", seed, "--out-dir", data)
         return data
 
     def test_convert_warns_once_on_stderr(self, tmp_path, capsys):
@@ -658,11 +662,13 @@ class TestSinkhornNonConvergence:
         code, _, err = run_cli(capsys, *args, "--out", tmp_path / "ok.otf")
         assert code == 0
         assert err == ""
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(f"sinkhorn_max_iterations = {_SHORT_BUDGET}\n")
         code, stdout, err = run_cli(capsys, *args, "--out", tmp_path / "o.otf",
-                                    "--epsilon", 1e-4)
+                                    "--config", cfg, "--epsilon", 1e-4)
         assert code == 0
         stats = json.loads(stdout)["plan_stats"]
-        assert stats["iterations_used"] == 10_000
+        assert stats["iterations_used"] == _SHORT_BUDGET
         assert stats["marginal_error"] >= 1e-6
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: ")
@@ -673,16 +679,83 @@ class TestSinkhornNonConvergence:
         cfg.write_text("command = train-fm\n"
                        "fm_hidden_dims = 8\n"
                        "fm_batch_size = 16\n"
-                       "fm_iterations = 2\n")
+                       "fm_iterations = 2\n"
+                       f"sinkhorn_max_iterations = {_SHORT_BUDGET}\n")
         code, stdout, err = run_cli(capsys, "train-fm", "--config", cfg,
                                     "--source", data / "source.otf",
                                     "--reference", data / "target.otf",
                                     "--out-model", tmp_path / "f.otm",
                                     "--epsilon", 1e-4)
         assert code == 0
-        assert json.loads(stdout)["plan_marginal_error"] >= 1e-6
+        out = json.loads(stdout)
+        assert out["plan_iterations"] == _SHORT_BUDGET
+        assert out["plan_marginal_error"] >= 1e-6
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: ")
+
+    def test_eval_warns_once_on_stderr(self, tmp_path, capsys):
+        data = self._data(tmp_path, capsys)
+        args = ["eval", "--a", data / "source.otf", "--b", data / "target.otf",
+                "--w2-mode", "sinkhorn", "--metrics", "w2,fd,theorem1"]
+        code, converged, err = run_cli(capsys, *args)
+        assert code == 0
+        assert err == ""
+        report = tmp_path / "m.json"
+        code, stdout, err = run_cli(capsys, *args, "--epsilon", 1e-4,
+                                    "--report", report)
+        assert code == 0
+        assert report.read_text() == stdout
+        assert set(json.loads(stdout)) == set(json.loads(converged))
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: Sinkhorn stopped after 10000 iterations")
+        assert lines[0].endswith("; raise --epsilon")
+
+    def test_train_fm_on_gauss_affine_converges(self, tmp_path, capsys):
+        # plain iterations alone run out the 10,000-iteration budget here at
+        # the default ε=0.1, stopping at marginal error 1.07e-6
+        data = self._data(tmp_path, capsys, task="gauss_affine", n=90, dim=3, seed=2)
+        source = read_feature_file(data / "source.otf").values.astype(np.float64)
+        target = read_feature_file(data / "target.otf").values.astype(np.float64)
+        cfg = SinkhornConfig()
+        plan = sinkhorn(cost_matrix(source, target, "squared_euclidean"), cfg=cfg)
+        assert plan.iterations_used < cfg.max_iterations
+        assert plan.marginal_error < cfg.tolerance
+        fm_cfg = tmp_path / "fm.cfg"
+        fm_cfg.write_text("command = train-fm\n"
+                          "fm_hidden_dims = 8\n"
+                          "fm_batch_size = 16\n"
+                          "fm_iterations = 2\n")
+        code, stdout, err = run_cli(capsys, "train-fm", "--config", fm_cfg,
+                                    "--source", data / "source.otf",
+                                    "--reference", data / "target.otf",
+                                    "--out-model", tmp_path / "f.otm",
+                                    "--cost", "squared_euclidean")
+        assert code == 0
+        assert "warning:" not in err
+        assert json.loads(stdout)["plan_iterations"] == plan.iterations_used
+
+
+@pytest.mark.parametrize("config_line, message", [
+    ("fm_learning_rate = nan", "fm_learning_rate must be finite, got nan"),
+    ("fm_iterations = 0", "fm_iterations must be >= 1"),
+    ("sinkhorn_max_iterations = 0", "sinkhorn_max_iterations must be >= 1"),
+    ("sinkhorn_tolerance = 0", "sinkhorn_tolerance must be > 0, got 0.0"),
+], ids=["fm_learning_rate", "fm_iterations", "sinkhorn_max_iterations",
+        "sinkhorn_tolerance"])
+def test_setting_error_names_the_config_key(config_line, message, tmp_path, capsys):
+    make_frames(tmp_path / "src.otf", n=20, d=4, seed=20)
+    make_frames(tmp_path / "ref.otf", n=20, d=4, seed=21, shift=0.5)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = convert\nmethod = fmvc\n{config_line}\n")
+    out = tmp_path / "out.otf"
+    code, stdout, err = run_cli(capsys, "convert", "--config", cfg,
+                                "--source", tmp_path / "src.otf",
+                                "--reference", tmp_path / "ref.otf", "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 class TestConsoleScript:

@@ -7,6 +7,7 @@ well-posed everywhere.
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from otconvert.discrete import SinkhornConfig
 from otconvert.errors import DivergenceError, ShapeError, ValidationError
@@ -24,7 +25,8 @@ from otconvert.neural import (
     not_train,
     potential_value,
 )
-from otconvert.nn import MlpModel, adam_init, adam_step, init_mlp
+from otconvert.nn import (MlpModel, _forward_cached, adam_init, adam_step,
+                          init_mlp, mlp_backward)
 from otconvert.rng import make_rng
 from otconvert.synth import clusters_outlier, gauss_shift, two_conditions
 
@@ -110,6 +112,40 @@ class TestLossValues:
 
 
 FD_STEP = 1e-5
+
+
+@pytest.mark.parametrize("extremal", [False, True])
+def test_map_step_without_potential_parameter_gradient_is_bit_identical(extremal):
+    # the map loss and gradient as computed when the potential's backward
+    # pass also formed its (unused) parameter gradient
+    rng = make_rng(21, "init")
+    pair = NotModelPair(
+        map_model=init_mlp((3, 16, 16, 3), rng, activation="relu", condition_dim=2),
+        potential_model=init_mlp((3, 16, 16, 1), rng, activation="relu", condition_dim=2),
+        nonpositivity_transform=extremal)
+    x = make_rng(22).normal(size=(32, 3))
+    s = np.array([1.0, -0.5])
+    cfg = NotConfig(extremal=extremal)
+
+    tx, cache = _forward_cached(pair.map_model, x, s=s)
+    u, pot_cache = _forward_cached(pair.potential_model, tx, s=s)
+    upstream = np.full(32, -1.0 / 32)
+    if extremal:
+        f_tx = -np.logaddexp(0.0, u[:, 0])
+        up_u = (upstream * -expit(u[:, 0]))[:, None]
+    else:
+        f_tx, up_u = u[:, 0], upstream[:, None]
+    pot_grads, f_y_grad = mlp_backward(pair.potential_model, tx, s=s, upstream=up_u,
+                                       cache=pot_cache)
+    assert pot_grads.shape == pair.potential_model.params.shape
+    diff = tx - x
+    want_loss = float(0.5 * np.mean(np.sum(diff * diff, axis=1)) - f_tx.mean())
+    want_grads, _ = mlp_backward(pair.map_model, x, s=s, upstream=diff / 32 + f_y_grad,
+                                 cache=cache)
+
+    loss, grads = not_loss_map(pair, x, s, cfg)
+    assert loss == want_loss
+    assert np.array_equal(grads, want_grads)
 
 
 def _fd_check(loss_fn, params, grads, rtol=1e-4, atol=1e-8):
