@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import brentq, linear_sum_assignment, linprog
 
 from .errors import (CapacityError, DomainError, NumericalError, SettingError,
                      ShapeError, ValidationError, reject_non_finite)
@@ -40,10 +40,8 @@ _SUM_FLOOR = 1e-200
 # the length of sinkhorn's plain warm-up, and the spacing of the plain,
 # tested iterations among the relaxed ones after it
 _WARMUP_ITERATIONS = 100
-# a relaxed step is ω times the plain one with its ratio clipped to
-# [1/_STEP_BOUND, _STEP_BOUND]; with ω < 2 the power of such a ratio, and the
-# scaling it yields, stay far inside the float range
-_STEP_BOUND = 1e100
+# the largest ω sinkhorn relaxes with
+_OMEGA_MAX = 1.9
 
 
 @dataclass
@@ -239,40 +237,61 @@ def _within(sums, band) -> bool:
 _USABLE = (_SUM_FLOOR, np.finfo(np.float64).max)
 
 
-def _relaxable(target) -> tuple:
-    """The band of kernel products whose relaxed update needs no clipping.
-
-    For a scaling within the scaling bound, a product in it keeps every
-    ratio target/(scaling·product) within [1/_STEP_BOUND, _STEP_BOUND]. It
-    lies inside _USABLE, since the target's largest entry is at least 1/n.
-    """
-    return (target.max() * _SCALING_BOUND / _STEP_BOUND,
-            target.min() * _STEP_BOUND / _SCALING_BOUND)
-
-
 def _drifted(scaling) -> bool:
     return bool(scaling.max() > _SCALING_BOUND or scaling.min() < 1.0 / _SCALING_BOUND)
 
 
 def _over_relaxation(rate) -> float:
-    """ω = 2/(1+√(1−r)) for plain iterations' residual rate r; 1 unless r < 1."""
+    """ω = min(2/(1+√(1−r)), _OMEGA_MAX) for plain iterations' residual rate r.
+
+    1 unless r < 1.
+    """
     if not rate < 1.0:
         return 1.0
-    return 2.0 / (1.0 + math.sqrt(1.0 - rate))
+    return min(2.0 / (1.0 + math.sqrt(1.0 - rate)), _OMEGA_MAX)
 
 
-def _relax_scaling(scaling, target, sums, omega):
-    """scaling ← scaling·(target/(scaling·sums))^ω in place; sums is overwritten."""
-    ratio = np.divide(target, sums, out=sums)
-    ratio /= scaling
-    ratio **= omega
-    scaling *= ratio
+def _ascent_bound(omega) -> float:
+    """The largest |log ratio| at which an update relaxed by ω is safe.
+
+    Relaxing one entry of a scaling whose plain update multiplies it by e^d
+    changes the dual objective by its target times
+    h(d) = ωd − e^((ω−1)d) + e^(−d) (the plain update's change is h at ω=1,
+    never negative). For 1 < ω < 2, h is positive for every d < 0 and for
+    0 < d < d*, its one positive root, so a half step whose log ratios all
+    lie within ±d* raises the objective entry by entry. d* is capped at
+    log(_SCALING_BOUND).
+    """
+    def gain(d):
+        return omega * d - math.exp((omega - 1.0) * d) + math.exp(-d)
+
+    cap = math.log(_SCALING_BOUND)
+    return cap if gain(cap) > 0.0 else brentq(gain, 1e-3, cap)
 
 
-def _relaxed_potential(current, plain, omega):
-    """The log-domain relaxed step: current + ω·(plain − current), clipped."""
-    bound = math.log(_STEP_BOUND)
-    return current + omega * np.clip(plain - current, -bound, bound)
+def _relax_scaling(scaling, target, sums, omega, bound) -> bool:
+    """scaling ← scaling·ratio^ω in place, ratio = target/(scaling·sums).
+
+    Returns whether it did: unless every ratio lies within
+    [e^−bound, e^bound], scaling is left as it is.
+    """
+    inverse = sums * scaling
+    inverse /= target
+    if not _within(inverse, (math.exp(-bound), math.exp(bound))):
+        return False
+    scaling *= np.power(inverse, -omega, out=inverse)
+    return True
+
+
+def _relaxed_potential(current, plain, omega, bound):
+    """current + ω·(plain − current), the log-domain _relax_scaling.
+
+    plain itself unless every entry of plain − current lies within ±bound.
+    """
+    step = plain - current
+    if not _within(step, (-bound, bound)):
+        return plain
+    return current + omega * step
 
 
 def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> TransportPlan:
@@ -291,17 +310,19 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     iterates of the log-domain iteration up to rounding: after a g update the
     column sums match b exactly, and convergence is declared when the row
     sums also match a within cfg.tolerance. The residual's rate r over the
-    warm-up's second half then sets ω = 2/(1+√(1−r)), and the updates become
-    v ← v·(b/(v∘Kᵀu))^ω and u ← u·(a/(u∘Kv))^ω, still one product per half
-    step; a product that could push a ratio past _STEP_BOUND sends the half
-    step through logsumexp, with the ratio clipped. A relaxed update
-    overshoots, so neither marginal of its plan is exact; instead every
-    _WARMUP_ITERATIONS-th iteration stays plain and is tested as above,
-    which checks both marginals. When such a test finds the residual no
-    lower than at the previous one, the relaxed run has fallen behind plain
-    steps and the rest of the solve is plain. If the iteration budget runs
-    out first the plan is still returned and carries the achieved
-    marginal_error.
+    warm-up's second half then sets ω = min(2/(1+√(1−r)), _OMEGA_MAX), and
+    the updates become v ← v·(b/(v∘Kᵀu))^ω and u ← u·(a/(u∘Kv))^ω, still one
+    product per half step. A half step relaxes only while every ratio
+    b/(v∘Kᵀu) or a/(u∘Kv) lies in the band where the relaxed update raises
+    the dual objective in every entry (_ascent_bound); otherwise it is
+    plain. So the dual objective never falls, even where the warm-up has not
+    reached its asymptotic rate (a stalled residual reads r near 1) and ω
+    overshoots; the log-domain fallback relaxes by the same rule. A relaxed
+    update overshoots, so neither marginal of its plan is exact; instead
+    every _WARMUP_ITERATIONS-th iteration and the last one stay plain and
+    are tested as above, which checks both marginals. If the iteration
+    budget runs out first the plan is still returned and carries the
+    achieved marginal_error.
 
     Marginals default to uniform.
     """
@@ -323,24 +344,25 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     kernel = _scaling_kernel(scaled, f, g)
     scalings = np.ones(m + n)
     u, v = scalings[:m], scalings[m:]
-    row_relaxable, col_relaxable = _relaxable(a), _relaxable(b)
     omega = 1.0
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        step = 1.0 if iterations % _WARMUP_ITERATIONS == 0 else omega
+        step = 1.0 if (iterations % _WARMUP_ITERATIONS == 0
+                       or iterations == cfg.max_iterations) else omega
         col = kernel.T @ u
-        if step == 1.0 and _within(col, _USABLE):
-            np.divide(b, col, out=v)
-        elif step != 1.0 and _within(col, col_relaxable):
-            _relax_scaling(v, b, col, step)
-        else:
-            f = f + np.log(u)
-            plain = log_b - logsumexp(scaled + f[:, None], axis=0)
-            g = plain if step == 1.0 else _relaxed_potential(g + np.log(v), plain, step)
-            scalings.fill(1.0)
-            _scaling_kernel(scaled, f, g, out=kernel)
+        if step == 1.0 or not _relax_scaling(v, b, col, step, bound):
+            if _within(col, _USABLE):
+                np.divide(b, col, out=v)
+            else:
+                f = f + np.log(u)
+                plain = log_b - logsumexp(scaled + f[:, None], axis=0)
+                g = (plain if step == 1.0
+                     else _relaxed_potential(g + np.log(v), plain, step, bound))
+                scalings.fill(1.0)
+                _scaling_kernel(scaled, f, g, out=kernel)
         row = kernel @ v
-        if _within(row, _USABLE if step == 1.0 else row_relaxable):
+        relaxed = step != 1.0 and _relax_scaling(u, a, row, step, bound)
+        if relaxed or _within(row, _USABLE):
             log_row = None
         else:
             f, g = f + np.log(u), g + np.log(v)
@@ -355,19 +377,16 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
                 halfway = error
             elif iterations == _WARMUP_ITERATIONS:
                 omega = _over_relaxation((error / halfway) ** (2.0 / _WARMUP_ITERATIONS))
-                previous = error
-            elif omega != 1.0:
-                if error >= previous:
-                    omega = 1.0
-                previous = error
+                # a product whose ratio lies within ±bound is then at least
+                # target·e^−bound/_SCALING_BOUND ≥ _SUM_FLOOR, and finite
+                bound = min(_ascent_bound(omega), math.log(
+                    min(a.min(), b.min()) / (_SUM_FLOOR * _SCALING_BOUND)))
         if log_row is not None:
             plain = log_a - log_row
-            f = plain if step == 1.0 else _relaxed_potential(f, plain, step)
+            f = plain if step == 1.0 else _relaxed_potential(f, plain, step, bound)
         else:
-            if step == 1.0:
+            if not relaxed:
                 np.divide(a, row, out=u)
-            else:
-                _relax_scaling(u, a, row, step)
             if not _drifted(scalings):
                 continue
             f, g = f + np.log(u), g + np.log(v)

@@ -131,8 +131,9 @@ def w2_squared_empirical(x, y, mode: str | None = None,
         return value
     cfg = cfg or SinkhornConfig(epsilon=0.01)
     plan = sinkhorn(c, cfg=cfg)
-    if plan.marginal_error >= cfg.tolerance:
-        warnings.warn(shortfall(plan, cfg.tolerance), ConvergenceWarning, stacklevel=2)
+    message = shortfall(plan, cfg.tolerance)
+    if message:
+        warnings.warn(message, ConvergenceWarning, stacklevel=2)
     feasible = project_to_marginals(plan.coupling, plan.row_marginal,
                                     plan.col_marginal)
     return float(np.sum(c.values * feasible))

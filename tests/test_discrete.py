@@ -223,63 +223,83 @@ def test_sinkhorn_feasibility_property(seed, m, n):
     assert abs(plan.coupling.sum() - 1.0) < 1e-12
 
 
-def _log_domain_sinkhorn(values, cfg):
+def _log_domain_sinkhorn(values, cfg, a=None, b=None):
     """Reference: the same iteration with every half step one logsumexp.
 
     Runs that end inside the warm-up are the plain iteration; later ones
     follow the same over-relaxation rule: ω from the residual rate of the
-    warm-up's second half, each relaxed step ω times the plain one clipped to
-    ±log(_STEP_BOUND), every warm-up-length-th iteration plain and tested,
-    and plain for good once such a test finds no progress.
+    warm-up's second half, capped at _OMEGA_MAX; a half step relaxed only
+    when every entry of plain − current lies within ±_ascent_bound(ω);
+    every warm-up-length-th iteration and the last one plain and tested.
     """
     m, n = values.shape
-    log_a, log_b = np.log(uniform_marginal(m)), np.log(uniform_marginal(n))
+    a = uniform_marginal(m) if a is None else a
+    b = uniform_marginal(n) if b is None else b
+    log_a, log_b = np.log(a), np.log(b)
     scaled = -values / cfg.epsilon
     warmup = discrete._WARMUP_ITERATIONS
-    bound = np.log(discrete._STEP_BOUND)
 
     def update(current, plain, step):
-        if step == 1.0:
+        if step == 1.0 or np.abs(plain - current).max() > bound:
             return plain
-        return current + step * np.clip(plain - current, -bound, bound)
+        return current + step * (plain - current)
 
     f = log_a - logsumexp(scaled, axis=1)
     g = np.zeros(n)
     omega = 1.0
     for iterations in range(1, cfg.max_iterations + 1):
-        step = 1.0 if iterations % warmup == 0 else omega
+        plain_step = iterations % warmup == 0 or iterations == cfg.max_iterations
+        step = 1.0 if plain_step else omega
         g = update(g, log_b - logsumexp(scaled + f[:, None], axis=0), step)
         log_row = logsumexp(scaled + g[None, :], axis=1)
         if step == 1.0:
-            error = np.abs(np.exp(f + log_row) - 1.0 / m).max()
+            error = np.abs(np.exp(f + log_row) - a).max()
             if error < cfg.tolerance:
                 break
             if iterations == warmup // 2:
                 halfway = error
             elif iterations == warmup:
                 rate = (error / halfway) ** (2.0 / warmup)
-                omega = 2.0 / (1.0 + np.sqrt(1.0 - rate)) if rate < 1.0 else 1.0
-                previous = error
-            elif omega != 1.0:
-                omega = 1.0 if error >= previous else omega
-                previous = error
+                if rate < 1.0:
+                    omega = min(2.0 / (1.0 + np.sqrt(1.0 - rate)), discrete._OMEGA_MAX)
+                bound = discrete._ascent_bound(omega)
         f = update(f, log_a - log_row, step)
     return np.exp(scaled + f[:, None] + g[None, :]), iterations
 
 
-# ε=1 ends inside the plain warm-up and ε=0.1 and 0.01 run relaxed. At 1e-3
-# and 1e-4 the warm-up stalls, so ω comes out near 2 and the first relaxed
-# iterations amplify rounding until the safeguard ends them; there the two
-# forms are compared over the warm-up, which runs through the log domain
-@pytest.mark.parametrize("epsilon, budget", [
-    (1.0, 1500), (0.1, 1500), (0.01, 1500), (1e-3, 100), (1e-4, 100)],
-    ids=["1.0", "0.1", "0.01", "0.001", "0.0001"])
-def test_sinkhorn_matches_log_domain_iteration(epsilon, budget, monkeypatch):
+def _count_relaxed_half_steps(monkeypatch):
+    """Count the half steps sinkhorn takes with ω ≠ 1, on either path."""
+    counts = {"scaling": 0, "log": 0}
+    relax_scaling, relaxed_potential = discrete._relax_scaling, discrete._relaxed_potential
+
+    def scaling(*args):
+        relaxed = relax_scaling(*args)
+        counts["scaling"] += relaxed
+        return relaxed
+
+    def potential(current, plain, omega, bound):
+        counts["log"] += np.abs(plain - current).max() <= bound
+        return relaxed_potential(current, plain, omega, bound)
+
+    monkeypatch.setattr(discrete, "_relax_scaling", scaling)
+    monkeypatch.setattr(discrete, "_relaxed_potential", potential)
+    return counts
+
+
+# ε=1 ends inside the plain warm-up; at 0.1 and 0.01 the run goes on
+# relaxed; at 1e-3 and 1e-4 the warm-up stalls, so ω is capped, and no half
+# step's ratios come close enough to 1 to relax; at 1e-4 products also
+# underflow. "0.01-log" marks every kernel product unusable, so each half
+# step, relaxed ones included, goes through the logsumexp fallback
+@pytest.mark.parametrize("epsilon, log_only", [
+    (1.0, False), (0.1, False), (0.01, False), (1e-3, False), (1e-4, False),
+    (0.01, True)], ids=["1.0", "0.1", "0.01", "0.001", "0.0001", "0.01-log"])
+def test_sinkhorn_matches_log_domain_iteration(epsilon, log_only, monkeypatch):
     rng = make_rng(12, "root")
     x = rng.normal(size=(30, 4))
     y = rng.normal(size=(40, 4)) + 1.5
     c = cost_matrix(x, y, "squared_euclidean")
-    cfg = SinkhornConfig(epsilon=epsilon, max_iterations=budget)
+    cfg = SinkhornConfig(epsilon=epsilon, max_iterations=1500)
     counts = {"kernel": 0, "logsumexp": 0}
 
     def counted(name, fn):
@@ -291,18 +311,106 @@ def test_sinkhorn_matches_log_domain_iteration(epsilon, budget, monkeypatch):
     monkeypatch.setattr(discrete, "_scaling_kernel",
                         counted("kernel", discrete._scaling_kernel))
     monkeypatch.setattr(discrete, "logsumexp", counted("logsumexp", discrete.logsumexp))
+    relaxed = _count_relaxed_half_steps(monkeypatch)
+    if log_only:
+        # no product is usable, and so none is relaxable on the scaling path
+        monkeypatch.setattr(discrete, "_USABLE", (np.inf, np.inf))
+        monkeypatch.setattr(discrete, "_relax_scaling", lambda *args: False)
     plan = sinkhorn(c, cfg=cfg)
     want, iterations = _log_domain_sinkhorn(c.values, cfg)
     assert plan.iterations_used == iterations
-    if epsilon in (0.1, 0.01):
-        assert plan.iterations_used > discrete._WARMUP_ITERATIONS
     assert np.all(np.isfinite(plan.coupling))
     assert np.abs(plan.coupling - want).max() <= 1e-10 * want.max()
+    if epsilon < 1.0:
+        assert plan.iterations_used > discrete._WARMUP_ITERATIONS
+    if epsilon in (0.1, 0.01):
+        assert relaxed["log" if log_only else "scaling"] > 0
+    if log_only:
+        assert counts["logsumexp"] == 2 * plan.iterations_used + 1
     if epsilon == 1e-4:
         # an underflowed product took the log-domain half step, and every
         # kernel build beyond the start and the fallbacks is an absorption
         assert counts["logsumexp"] >= 2
         assert counts["kernel"] > counts["logsumexp"]
+
+
+def test_sinkhorn_relaxed_at_sharp_epsilon_matches_log_domain_iteration(monkeypatch):
+    # instance 29 of the random family: ε=1e-3, cosine cost, 47x153 points
+    # with uneven marginals; relaxed half steps carry it to convergence
+    c, a, b, cfg = list(_random_family())[29]
+    assert cfg.epsilon == 1e-3
+    relaxed = _count_relaxed_half_steps(monkeypatch)
+    plan = sinkhorn(c, a, b, cfg)
+    want, iterations = _log_domain_sinkhorn(c.values, cfg, a, b)
+    assert relaxed["scaling"] > 0
+    assert plan.marginal_error < cfg.tolerance
+    assert plan.iterations_used == iterations
+    assert np.abs(plan.coupling - want).max() <= 1e-10 * want.max()
+
+
+@pytest.mark.parametrize("omega", [1.3, 1.667, 1.9])
+def test_relaxed_update_inside_ascent_bound_raises_the_dual(omega):
+    rng = make_rng(16, "root")
+    kernel = rng.uniform(0.1, 1.0, size=(5, 6))
+    u, b = rng.uniform(0.5, 2.0, size=5), uniform_marginal(6)
+    bound = discrete._ascent_bound(omega)
+
+    def dual(v):
+        return float(b @ np.log(v) - u @ kernel @ v)
+
+    def relaxed(log_ratios, bound):
+        # the v whose ratios b/(v∘Kᵀu) are exp(log_ratios), and its update
+        v = b / (kernel.T @ u) / np.exp(log_ratios)
+        new = v.copy()
+        assert discrete._relax_scaling(new, b, kernel.T @ u, omega, bound)
+        return dual(v), dual(new)
+
+    spread = np.array([-0.999, -0.5, 0.0, 0.3, 0.8, 0.999])
+    before, after = relaxed(spread * bound, bound)
+    assert after > before
+    # every ratio on the side where relaxing can lose, just inside the bound
+    before, after = relaxed(np.full(6, 0.99 * bound), bound)
+    assert after > before
+    # one ratio just past the bound: relaxing it anyway lowers the dual, and
+    # the solver's own bound declines the relaxed step there
+    past = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.05 * bound])
+    before, after = relaxed(past, 2.0 * bound)
+    assert after < before
+    v = b / (kernel.T @ u) / np.exp(past)
+    assert not discrete._relax_scaling(v.copy(), b, kernel.T @ u, omega, bound)
+
+
+def test_sinkhorn_does_not_relax_near_underflowing_targets(monkeypatch):
+    # a target of 1e-195 leaves no room between _SUM_FLOOR and the products
+    # a relaxed step could meet, so every step is plain
+    rng = make_rng(17, "root")
+    c = cost_matrix(rng.normal(size=(20, 3)), rng.normal(size=(30, 3)))
+    b = uniform_marginal(30)
+    b[7] = 1e-195
+    b /= b.sum()
+    cfg = SinkhornConfig(epsilon=0.05, max_iterations=400)
+    plan = sinkhorn(c, None, b, cfg)
+    monkeypatch.setattr(discrete, "_over_relaxation", lambda rate: 1.0)
+    plain = sinkhorn(c, None, b, cfg)
+    assert plan.iterations_used == plain.iterations_used > discrete._WARMUP_ITERATIONS
+    assert np.array_equal(plan.coupling, plain.coupling)
+
+
+@pytest.mark.parametrize("budget", [199, 250, 1234])
+def test_sinkhorn_ends_on_a_plain_iteration(budget, monkeypatch):
+    rng = make_rng(12, "root")
+    x = rng.normal(size=(30, 4))
+    y = rng.normal(size=(40, 4)) + 1.5
+    c = cost_matrix(x, y, "squared_euclidean")
+    cfg = SinkhornConfig(epsilon=0.01, max_iterations=budget)
+    relaxed = _count_relaxed_half_steps(monkeypatch)
+    plan = sinkhorn(c, cfg=cfg)
+    assert relaxed["scaling"] > 0
+    assert plan.iterations_used == budget
+    # the last update is a plain f step, so the rows are exact
+    assert np.abs(plan.coupling.sum(axis=1) - plan.row_marginal).max() < 1e-14
+    monkeypatch.setattr(discrete, "_over_relaxation", lambda rate: 1.0)
+    assert plan.marginal_error <= sinkhorn(c, cfg=cfg).marginal_error
 
 
 def _plain_scaling_sinkhorn(values, cfg):
@@ -389,13 +497,16 @@ def _criterion_02_family():
         yield rng.uniform(size=(n, n)), None, None, cfg
 
 
-# the instances of each family that the plain iteration (ω held at 1)
-# solves within its budget, found by solving them with
+# the iterations the plain iteration (ω held at 1) takes on each instance of
+# a family that it solves within its budget, found by solving them with
 # discrete._over_relaxation patched to return 1
-_PLAIN_SOLVED = {
-    "random": {0, 1, 3, 4, 5, 6, 7, 9, 10, 11, 12, 15, 16, 17, 18, 19, 21, 22,
-               24, 25, 27, 28, 29, 30, 33, 34, 35},
-    "criterion_02": {1, 8, 12, 17, 18, 23, 29, 39, 45, 46},
+_PLAIN_ITERATIONS = {
+    "random": {0: 159, 1: 2545, 3: 10, 4: 243, 5: 5953, 6: 526, 7: 9121, 9: 86,
+               10: 930, 11: 9799, 12: 673, 15: 19, 16: 332, 17: 3396, 18: 80,
+               19: 1141, 21: 16, 22: 453, 24: 622, 25: 5727, 27: 29, 28: 267,
+               29: 3154, 30: 302, 33: 25, 34: 285, 35: 2774},
+    "criterion_02": {1: 6, 8: 4713, 12: 2142, 17: 1, 18: 1, 23: 930, 29: 67,
+                     39: 1, 45: 2866, 46: 46},
 }
 
 
@@ -404,13 +515,16 @@ _FAMILIES = {"random": _random_family, "criterion_02": _criterion_02_family}
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_over_relaxation_keeps_every_plain_solve(family):
-    solved = set()
+    """Every plan is finite, and every instance the plain iteration solves
+    is solved, by the test after the plain count's checkpoint at the latest."""
+    warmup = discrete._WARMUP_ITERATIONS
+    plain = _PLAIN_ITERATIONS[family]
     for index, (c, a, b, cfg) in enumerate(_FAMILIES[family]()):
         plan = sinkhorn(c, a, b, cfg)
         assert np.all(np.isfinite(plan.coupling)), index
-        if plan.marginal_error < cfg.tolerance:
-            solved.add(index)
-    assert solved >= _PLAIN_SOLVED[family]
+        if index in plain:
+            assert plan.marginal_error < cfg.tolerance, index
+            assert plan.iterations_used <= -(-plain[index] // warmup) * warmup, index
 
 
 # ---------------------------------------------------------------- exact
