@@ -1,35 +1,9 @@
 """Optimal-transport feature-sequence conversion at desk scale.
 
-Submodules are loaded lazily so that the command-line entry point can pin
-BLAS thread counts via environment variables before numpy is first imported.
+Importing the package loads no submodule and so no numpy: the command-line
+entry point pins BLAS thread counts via environment variables before numpy
+is first imported. Import submodules by name (``from otconvert import
+discrete``).
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "convert",
-    "discrete",
-    "errors",
-    "fileio",
-    "flow",
-    "linalg",
-    "metrics",
-    "neural",
-    "nn",
-    "rng",
-    "synth",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        module = import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -33,7 +33,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .convert import knn_convert, sinkvc_convert
-from .discrete import COST_KINDS, SinkhornConfig, cost_matrix, shortfall, sinkhorn
+from .discrete import COST_KINDS, SinkhornConfig, cost_matrix, sinkhorn
 from .errors import (CapacityError, ConvergenceWarning, DivergenceError,
                      NumericalError, SettingError, ValidationError)
 from .fileio import (REQUIRED, _format_value, atomic_write_text,
@@ -215,14 +215,6 @@ def _print_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _warn_if_unconverged(plan, resolved):
-    """One stderr line when a Sinkhorn plan stopped short of its tolerance."""
-    message = shortfall(plan, resolved["sinkhorn_tolerance"])
-    if message:
-        print(f"warning: {message}; raise epsilon or sinkhorn_max_iterations",
-              file=sys.stderr)
-
-
 def cmd_convert(resolved: dict) -> int:
     source = read_feature_file(resolved["source"])
     reference = read_feature_file(resolved["reference"])
@@ -238,7 +230,6 @@ def cmd_convert(resolved: dict) -> int:
         converted, report = sinkvc_convert(
             src, ref, cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS),
             k=resolved["k"])
-        _warn_if_unconverged(report.plan_stats, resolved)
     elif method == "knn":
         converted, report = knn_convert(src, ref, k=resolved["k"])
     else:
@@ -246,7 +237,6 @@ def cmd_convert(resolved: dict) -> int:
             src, ref, _config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS),
             _config_of(FlowConfig, resolved, _FLOW_FIELDS),
             make_rng(resolved["seed"], "train"), cost_kind=resolved["cost"])
-        _warn_if_unconverged(report.plan_stats, resolved)
         if resolved["model"]:
             write_velocity_field(resolved["model"], field,
                                  config_text=_config_text(resolved))
@@ -280,7 +270,6 @@ def cmd_train_fm(resolved: dict) -> int:
     reference = read_feature_file(resolved["reference"]).values.astype(np.float64)
     cost = cost_matrix(source, reference, resolved["cost"])
     plan = sinkhorn(cost, cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS))
-    _warn_if_unconverged(plan, resolved)
     trace_path = resolved["loss_trace"] or resolved["out_model"] + ".loss.csv"
     try:
         field = fm_train(plan_pair_sampler(plan, source, reference),
@@ -328,21 +317,14 @@ def parse_dataset_spec(path: str):
     if not labels:
         raise ValidationError(f"{path}: 'conditions' names no labels")
     base = os.path.dirname(os.path.abspath(path))
+    schema = {f"{label}.{field}": ("str", REQUIRED)
+              for label in labels for field in ("vector", "source", "target")}
+    try:
+        raw = resolve_config(raw, schema)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from None
     entries = []
-    expected = set()
     for label in labels:
-        expected.update({f"{label}.vector", f"{label}.source", f"{label}.target"})
-    unknown = set(raw) - expected
-    if unknown:
-        raise ValidationError(
-            f"{path}: unknown config key(s): {', '.join(sorted(unknown))}"
-        )
-    for label in labels:
-        for field in ("vector", "source", "target"):
-            if f"{label}.{field}" not in raw:
-                raise ValidationError(
-                    f"{path}: missing required config key '{label}.{field}'"
-                )
         try:
             vector = np.array([float(part) for part in raw[f"{label}.vector"].split(",")])
         except ValueError:
@@ -410,34 +392,26 @@ def cmd_eval(resolved: dict) -> int:
     cfg = SinkhornConfig(epsilon=resolved["epsilon"])
     payload: dict = {"a": resolved["a"], "b": resolved["b"],
                      "n_a": int(a.shape[0]), "n_b": int(b.shape[0])}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConvergenceWarning)
-        try:
-            # w2 is reported in the unit convention (2x the half-squared-cost
-            # optimum), so it is directly comparable to fd and theorem1.two_w2sq;
-            # when theorem1 is asked for, its two sides are those same values
-            if "theorem1" in wanted:
-                fd, w2_squared, holds = theorem1_check(a, b, mode=mode, cfg=cfg)
-                payload["theorem1"] = {"fd": fd, "two_w2sq": w2_squared,
-                                       "holds": bool(holds)}
-            else:
-                w2_squared = (2.0 * w2_squared_empirical(a, b, mode=mode, cfg=cfg)
-                              if "w2" in wanted else None)
-                fd = frechet_distance(a, b) if "fd" in wanted else None
-            if "w2" in wanted:
-                payload["w2_squared"] = w2_squared
-            if "fd" in wanted:
-                payload["frechet"] = fd
-        except CapacityError as err:
-            raise ValidationError(
-                f"{err}; rerun with --w2-mode sinkhorn"
-            ) from err
-    for caught_warning in caught:
-        if caught_warning.category is ConvergenceWarning:
-            print(f"warning: {caught_warning.message}; raise --epsilon", file=sys.stderr)
+    try:
+        # w2 is reported in the unit convention (2x the half-squared-cost
+        # optimum), so it is directly comparable to fd and theorem1.two_w2sq;
+        # when theorem1 is asked for, its two sides are those same values
+        if "theorem1" in wanted:
+            fd, w2_squared, holds = theorem1_check(a, b, mode=mode, cfg=cfg)
+            payload["theorem1"] = {"fd": fd, "two_w2sq": w2_squared,
+                                   "holds": bool(holds)}
         else:
-            warnings.warn_explicit(caught_warning.message, caught_warning.category,
-                                   caught_warning.filename, caught_warning.lineno)
+            w2_squared = (2.0 * w2_squared_empirical(a, b, mode=mode, cfg=cfg)
+                          if "w2" in wanted else None)
+            fd = frechet_distance(a, b) if "fd" in wanted else None
+        if "w2" in wanted:
+            payload["w2_squared"] = w2_squared
+        if "fd" in wanted:
+            payload["frechet"] = fd
+    except CapacityError as err:
+        raise ValidationError(
+            f"{err}; rerun with --w2-mode sinkhorn"
+        ) from err
     _print_json(payload)
     if resolved["report"]:
         _write_json(resolved["report"], payload)
@@ -510,21 +484,35 @@ _COMMANDS = {
 def entry(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        resolved = _resolve(args, args.subcommand)
-        return _COMMANDS[args.subcommand](resolved)
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DivergenceError as err:
-        print(f"training diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    hint = ("raise --epsilon" if args.subcommand == "eval"
+            else "raise epsilon or sinkhorn_max_iterations")
+    show_other = warnings.showwarning
+
+    def show(message, category, *where):
+        # an unconverged plan is one stderr line, printed as it is found
+        if issubclass(category, ConvergenceWarning):
+            print(f"warning: {message}; {hint}", file=sys.stderr)
+        else:
+            show_other(message, category, *where)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ConvergenceWarning)
+        warnings.showwarning = show
+        try:
+            resolved = _resolve(args, args.subcommand)
+            return _COMMANDS[args.subcommand](resolved)
+        except ValidationError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except NumericalError as err:
+            print(f"numerical failure: {err}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except DivergenceError as err:
+            print(f"training diverged: {err}", file=sys.stderr)
+            return EXIT_DIVERGENCE
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_VALIDATION
 
 
 def main():  # console-script shim

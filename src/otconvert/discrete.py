@@ -9,14 +9,15 @@ post-processing steps that turn a coupling into a frame mapping.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, linprog
 
-from .errors import (CapacityError, DomainError, NumericalError, SettingError,
-                     ShapeError, ValidationError, reject_non_finite)
+from .errors import (CapacityError, ConvergenceWarning, DomainError, NumericalError,
+                     SettingError, ShapeError, ValidationError, reject_non_finite)
 from .linalg import logsumexp
 
 COST_KINDS = ("squared_euclidean", "cosine_distance")
@@ -125,18 +126,6 @@ class TransportPlan:
         return float(np.sum(values * self.coupling))
 
 
-def shortfall(plan, tolerance: float) -> str:
-    """One line on where a solve stopped above tolerance; '' if it met it.
-
-    plan is a TransportPlan or anything else with its iterations_used and
-    marginal_error.
-    """
-    if plan.marginal_error < tolerance:
-        return ""
-    return (f"Sinkhorn stopped after {plan.iterations_used} iterations at marginal"
-            f" error {plan.marginal_error:.3g}, above the tolerance {tolerance:g}")
-
-
 def _as_rows(x, name) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -235,10 +224,14 @@ def _within(sums, band) -> bool:
 
 # a kernel product in this band is finite and has not underflowed toward 0
 _USABLE = (_SUM_FLOOR, np.finfo(np.float64).max)
+# scalings in this band are left unabsorbed
+_KEPT = (1.0 / _SCALING_BOUND, _SCALING_BOUND)
 
 
-def _drifted(scaling) -> bool:
-    return bool(scaling.max() > _SCALING_BOUND or scaling.min() < 1.0 / _SCALING_BOUND)
+def _absorb(potentials, scalings):
+    """Fold the scalings into the log potentials and reset them to 1."""
+    potentials += np.log(scalings)
+    scalings.fill(1.0)
 
 
 def _over_relaxation(rate) -> float:
@@ -283,17 +276,6 @@ def _relax_scaling(scaling, target, sums, omega, bound) -> bool:
     return True
 
 
-def _relaxed_potential(current, plain, omega, bound):
-    """current + ω·(plain − current), the log-domain _relax_scaling.
-
-    plain itself unless every entry of plain − current lies within ±bound.
-    """
-    step = plain - current
-    if not _within(step, (-bound, bound)):
-        return plain
-    return current + omega * step
-
-
 def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> TransportPlan:
     """Entropic optimal transport via stabilized, over-relaxed scaling iterations.
 
@@ -317,12 +299,12 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     the dual objective in every entry (_ascent_bound); otherwise it is
     plain. So the dual objective never falls, even where the warm-up has not
     reached its asymptotic rate (a stalled residual reads r near 1) and ω
-    overshoots; the log-domain fallback relaxes by the same rule. A relaxed
-    update overshoots, so neither marginal of its plan is exact; instead
-    every _WARMUP_ITERATIONS-th iteration and the last one stay plain and
-    are tested as above, which checks both marginals. If the iteration
-    budget runs out first the plan is still returned and carries the
-    achieved marginal_error.
+    overshoots; a logsumexp half step is always plain. A relaxed update
+    overshoots, so neither marginal of its plan is exact; instead every
+    _WARMUP_ITERATIONS-th iteration and the last one stay plain and are
+    tested as above, which checks both marginals. If the iteration budget
+    runs out first the plan is still returned and carries the achieved
+    marginal_error, and a ConvergenceWarning says where it stopped.
 
     Marginals default to uniform.
     """
@@ -339,13 +321,13 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     # plain g update the column sums are exact, so convergence reduces to the
     # row-sum residual, and the product that measures it is the one the next
     # f update needs
-    f = log_a - logsumexp(scaled, axis=1)
-    g = np.zeros(n)
+    potentials = np.zeros(m + n)
+    f, g = potentials[:m], potentials[m:]
+    np.subtract(log_a, logsumexp(scaled, axis=1), out=f)
     kernel = _scaling_kernel(scaled, f, g)
     scalings = np.ones(m + n)
     u, v = scalings[:m], scalings[m:]
     omega = 1.0
-    iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         step = 1.0 if (iterations % _WARMUP_ITERATIONS == 0
                        or iterations == cfg.max_iterations) else omega
@@ -354,19 +336,15 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
             if _within(col, _USABLE):
                 np.divide(b, col, out=v)
             else:
-                f = f + np.log(u)
-                plain = log_b - logsumexp(scaled + f[:, None], axis=0)
-                g = (plain if step == 1.0
-                     else _relaxed_potential(g + np.log(v), plain, step, bound))
-                scalings.fill(1.0)
+                _absorb(potentials, scalings)
+                np.subtract(log_b, logsumexp(scaled + f[:, None], axis=0), out=g)
                 _scaling_kernel(scaled, f, g, out=kernel)
         row = kernel @ v
         relaxed = step != 1.0 and _relax_scaling(u, a, row, step, bound)
         if relaxed or _within(row, _USABLE):
             log_row = None
         else:
-            f, g = f + np.log(u), g + np.log(v)
-            scalings.fill(1.0)
+            _absorb(potentials, scalings)
             log_row = logsumexp(scaled + g[None, :], axis=1)
         if step == 1.0:
             row_mass = u * row if log_row is None else np.exp(f + log_row)
@@ -382,26 +360,30 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
                 bound = min(_ascent_bound(omega), math.log(
                     min(a.min(), b.min()) / (_SUM_FLOOR * _SCALING_BOUND)))
         if log_row is not None:
-            plain = log_a - log_row
-            f = plain if step == 1.0 else _relaxed_potential(f, plain, step, bound)
+            np.subtract(log_a, log_row, out=f)
         else:
             if not relaxed:
                 np.divide(a, row, out=u)
-            if not _drifted(scalings):
+            if _within(scalings, _KEPT):
                 continue
-            f, g = f + np.log(u), g + np.log(v)
-            scalings.fill(1.0)
+            _absorb(potentials, scalings)
         _scaling_kernel(scaled, f, g, out=kernel)
-    plan = _gibbs_kernel(scaled, f + np.log(u), g + np.log(v), out=kernel)
+    _absorb(potentials, scalings)
+    plan = _gibbs_kernel(scaled, f, g, out=kernel)
     row_err = np.abs(plan.sum(axis=1) - a).max()
     col_err = np.abs(plan.sum(axis=0) - b).max()
+    marginal_error = float(max(row_err, col_err))
+    if marginal_error >= cfg.tolerance:
+        warnings.warn(f"Sinkhorn stopped after {iterations} iterations at marginal"
+                      f" error {marginal_error:.3g}, above the tolerance"
+                      f" {cfg.tolerance:g}", ConvergenceWarning, stacklevel=2)
     return TransportPlan(
         coupling=plan,
         row_marginal=a,
         col_marginal=b,
         epsilon=cfg.epsilon,
         iterations_used=iterations,
-        marginal_error=float(max(row_err, col_err)),
+        marginal_error=marginal_error,
     )
 
 

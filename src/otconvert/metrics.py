@@ -14,7 +14,6 @@ both samples are Gaussian.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,10 +26,9 @@ from .discrete import (
     cost_matrix,
     exact_ot,
     project_to_marginals,
-    shortfall,
     sinkhorn,
 )
-from .errors import ConvergenceWarning, DomainError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .linalg import matrix_sqrt_psd, symmetrize
 
 W2_MODES = ("exact_small", "sinkhorn")
@@ -131,9 +129,6 @@ def w2_squared_empirical(x, y, mode: str | None = None,
         return value
     cfg = cfg or SinkhornConfig(epsilon=0.01)
     plan = sinkhorn(c, cfg=cfg)
-    message = shortfall(plan, cfg.tolerance)
-    if message:
-        warnings.warn(message, ConvergenceWarning, stacklevel=2)
     feasible = project_to_marginals(plan.coupling, plan.row_marginal,
                                     plan.col_marginal)
     return float(np.sum(c.values * feasible))

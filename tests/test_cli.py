@@ -503,6 +503,25 @@ def test_undecodable_input_exits_2_with_one_line(tmp_path, make_case):
     assert bad.name in lines[0]
 
 
+@pytest.mark.parametrize("body, key", [
+    (b"c.vector = 1\nc.source = s.otf\nc.target = s.otf\nc.weight = 2\n", "c.weight"),
+    (b"c.vector = 1\nc.target = s.otf\n", "c.source"),
+], ids=["unknown-key", "missing-source"])
+def test_dataset_spec_key_error_exits_2_naming_file_and_key(tmp_path, body, key):
+    make_frames(tmp_path / "s.otf", n=10, d=2, seed=19)
+    spec = tmp_path / "keys.spec"
+    spec.write_bytes(b"conditions = c\n" + body)
+    proc = subprocess.run(
+        [sys.executable, "-m", "otconvert", "train-not", "--dataset-spec", str(spec),
+         "--out-model", str(tmp_path / "p.otm")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(spec) in lines[0] and key in lines[0]
+    assert not (tmp_path / "p.otm").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["convert", "--source", "s.otf", "--reference", "r.otf", "--out", "o.otf",
      "--epsilon", "abc"],
@@ -710,6 +729,29 @@ class TestSinkhornNonConvergence:
         assert len(lines) == 1
         assert lines[0].startswith("warning: Sinkhorn stopped after 10000 iterations")
         assert lines[0].endswith("; raise --epsilon")
+
+    def test_each_warning_is_printed_as_issued(self):
+        # in a fresh interpreter, so the process's own warning filters apply
+        code = (
+            "import sys, warnings\n"
+            "from otconvert import cli\n"
+            "from otconvert.errors import ConvergenceWarning\n"
+            "def command(resolved):\n"
+            "    print('before', file=sys.stderr)\n"
+            "    for _ in range(2):\n"
+            "        warnings.warn('stopped short', ConvergenceWarning)\n"
+            "    warnings.warn('something else', RuntimeWarning)\n"
+            "    return 0\n"
+            "cli._COMMANDS['eval'] = command\n"
+            "shown = warnings.showwarning\n"
+            "code = cli.entry(['eval', '--a', 'a.otf', '--b', 'b.otf'])\n"
+            "assert warnings.showwarning is shown\n"
+            "raise SystemExit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines[:3] == ["before"] + 2 * ["warning: stopped short; raise --epsilon"]
+        assert len(lines) == 4 and lines[3].endswith("RuntimeWarning: something else")
 
     def test_train_fm_on_gauss_affine_converges(self, tmp_path, capsys):
         # plain iterations alone run out the 10,000-iteration budget here at

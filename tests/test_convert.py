@@ -1,11 +1,13 @@
 """Frame conversion: transport-weighted and plain nearest-neighbor averaging."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from otconvert.convert import DEFAULT_TOP_K, knn_convert, sinkvc_convert
 from otconvert.discrete import SinkhornConfig, cost_matrix, exact_ot
-from otconvert.errors import ShapeError, ValidationError
+from otconvert.errors import ConvergenceWarning, ShapeError, ValidationError
 from otconvert.rng import make_rng
 from otconvert.synth import conversion_clusters, nearest_direction
 
@@ -44,6 +46,23 @@ class TestSinkvcIdentity:
         assert report.plan_stats.epsilon == SHARP.epsilon
         assert report.plan_stats.marginal_error < SHARP.tolerance
         assert report.plan_stats.iterations_used >= 1
+
+    def test_budget_run_out_warns(self):
+        rng = make_rng(14)
+        x = _frames(rng, 10, 4)
+        y = _frames(rng, 14, 4)
+        cfg = SinkhornConfig(epsilon=1e-4, max_iterations=5)
+        with pytest.warns(ConvergenceWarning, match="Sinkhorn stopped after 5 iterations"):
+            _, report = sinkvc_convert(x, y, cfg=cfg)
+        assert report.plan_stats.marginal_error >= cfg.tolerance
+
+    def test_converged_plan_does_not_warn(self):
+        rng = make_rng(13)
+        x = _frames(rng, 10, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            _, report = sinkvc_convert(x, _frames(rng, 14, 4), cfg=SHARP)
+        assert report.plan_stats.marginal_error < SHARP.tolerance
 
 
 class TestSinkvcMatchesExactAssignment:
