@@ -25,6 +25,7 @@ from .nn import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    working_copy,
 )
 
 ODE_METHODS = ("euler", "rk4")
@@ -73,7 +74,8 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
     pair_sampler(count, rng) must return two (count, d) arrays (x0, x1).
     Each iteration draws a batch, samples t uniformly per element, forms
     x_t = (1-t) x0 + t x1, and takes one Adam step on
-    mean ‖v(t, x_t) − (x1 − x0)‖². The per-iteration loss lands in
+    mean ‖v(t, x_t) − (x1 − x0)‖², with the passes on the network's
+    float32 working copy. The per-iteration loss lands in
     training_loss_trace.
 
     Raises DivergenceError naming the iteration if the loss goes non-finite.
@@ -88,6 +90,7 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
 
     model = init_mlp((dim, *cfg.hidden_dims, dim), rng, activation="relu",
                      time_conditioned=True)
+    work = working_copy(model)
     opt = adam_init(model.params, cfg.learning_rate)
     trace: list[float] = []
     for iteration in range(cfg.iterations):
@@ -97,7 +100,7 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
         t = rng.uniform(size=cfg.batch_size)
         xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
         target = x1 - x0
-        pred, cache = _forward_cached(model, xt, t=t)
+        pred, cache = _forward_cached(work, xt, t=t)
         diff = pred - target
         loss = float(np.mean(np.sum(diff * diff, axis=1)))
         if not np.isfinite(loss):
@@ -106,9 +109,9 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
                 trace=trace,
             )
         trace.append(loss)
-        grads, _ = mlp_backward(model, xt, t=t, upstream=2.0 * diff / cfg.batch_size,
+        grads, _ = mlp_backward(work, xt, t=t, upstream=2.0 * diff / cfg.batch_size,
                                 cache=cache)
-        adam_step(opt, model.params, grads)
+        adam_step(opt, model.params, grads, work.params)
     return VelocityField(model=model, dim=dim, training_loss_trace=trace)
 
 

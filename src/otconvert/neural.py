@@ -36,6 +36,7 @@ from .nn import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    working_copy,
 )
 
 LR_DECAYS = ("none", "cosine")
@@ -167,12 +168,12 @@ class NotModelPair:
 
 def apply_map(pair: NotModelPair, x, s) -> np.ndarray:
     """T(x, s) for a batch of rows under one condition vector."""
-    return mlp_forward(pair.map_model, np.asarray(x, dtype=np.float64), s=s)
+    return mlp_forward(pair.map_model, x, s=s)
 
 
 def potential_value(pair: NotModelPair, y, s) -> np.ndarray:
     """f(y, s) as a length-n vector, after the nonpositivity transform."""
-    u = mlp_forward(pair.potential_model, np.asarray(y, dtype=np.float64), s=s)
+    u = mlp_forward(pair.potential_model, y, s=s)
     if pair.nonpositivity_transform:
         return -np.logaddexp(0.0, u)[:, 0]
     return u[:, 0]
@@ -207,21 +208,20 @@ def not_loss_potential(pair: NotModelPair, x, y, s, cfg: NotConfig):
 
     Returns (loss, grads), grads flat in the ``potential_model.params``
     layout. The potential ascends this loss; callers feed the negated
-    gradients to a minimizer.
+    gradients to a minimizer. y and T(x) go through the potential as one
+    stacked batch, so each layer forms its parameter gradient in one GEMM.
     """
     _check_mode(pair, cfg)
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w_eff = cfg.w_effective
     tx = apply_map(pair, x, s)
-    f_y, grads_y, _ = _potential_with_grads(pair, y, s,
-                                            np.full(y.shape[0], w_eff / y.shape[0]))
-    f_tx, grads_tx, _ = _potential_with_grads(pair, tx, s,
-                                              np.full(x.shape[0], -1.0 / x.shape[0]))
-    loss = float(w_eff * f_y.mean() - f_tx.mean())
+    n_y, n_x = y.shape[0], tx.shape[0]
+    w_eff = cfg.w_effective
+    upstream = np.concatenate([np.full(n_y, w_eff / n_y), np.full(n_x, -1.0 / n_x)])
+    f, grads, _ = _potential_with_grads(pair, np.concatenate([y, tx]), s, upstream)
+    loss = float(w_eff * f[:n_y].mean() - f[n_y:].mean())
     if not np.isfinite(loss):
         raise DivergenceError("potential loss became non-finite")
-    return loss, grads_y + grads_tx
+    return loss, grads
 
 
 def not_loss_map(pair: NotModelPair, x, s, cfg: NotConfig):
@@ -264,6 +264,26 @@ class TrainTrace:
     checkpoints: list = field(default_factory=list)
 
 
+def _working_pair(pair: NotModelPair) -> NotModelPair:
+    """The pair's float32 working copies, on which training runs its passes."""
+    return NotModelPair(map_model=working_copy(pair.map_model),
+                        potential_model=working_copy(pair.potential_model),
+                        nonpositivity_transform=pair.nonpositivity_transform)
+
+
+def _map_step(work: NotModelPair, map_params, opt, spec: ConditionSpec,
+              cfg: NotConfig, rng) -> float:
+    """One AdamW step of the map on a fresh source batch; returns its loss.
+
+    The loss and gradient come from the working pair; the step updates the
+    float64 master vector map_params and refreshes the working map from it.
+    """
+    x = spec.source_sampler(cfg.batch_size, rng)
+    loss, grads = not_loss_map(work, x, spec.vector, cfg)
+    adam_step(opt, map_params, grads, work.map_model.params)
+    return loss
+
+
 def _init_pair(dim, condition_dim, cfg, rng) -> NotModelPair:
     map_model = init_mlp((dim, *cfg.hidden_dims, dim), rng, activation="relu",
                          condition_dim=condition_dim)
@@ -302,8 +322,11 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
 
     cfg.extremal selects the extremal objective (nonpositive potential,
     target term scaled by cfg.w); otherwise the plain game is trained.
+    Losses and gradients come from float32 working copies of the pair; the
+    returned pair and the checkpoints use the float64 master.
     """
     pair = _init_pair(dataset.dim, dataset.condition_dim, cfg, rng)
+    work = _working_pair(pair)
     pot_params, map_params = pair.potential_model.params, pair.map_model.params
     pot_opt = adam_init(pot_params, cfg.potential_lr, weight_decay=cfg.weight_decay)
     map_opt = adam_init(map_params, cfg.map_lr, weight_decay=cfg.weight_decay)
@@ -316,13 +339,10 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
         spec = dataset.conditions[int(rng.integers(n_cond))]
         x = spec.source_sampler(cfg.batch_size, rng)
         y = spec.target_sampler(cfg.batch_size, rng)
-        loss_f, pot_grads = not_loss_potential(pair, x, y, spec.vector, cfg)
-        adam_step(pot_opt, pot_params, -pot_grads)
-        loss_t = 0.0
+        loss_f, pot_grads = not_loss_potential(work, x, y, spec.vector, cfg)
+        adam_step(pot_opt, pot_params, -pot_grads, work.potential_model.params)
         for _ in range(cfg.inner_steps):
-            x = spec.source_sampler(cfg.batch_size, rng)
-            loss_t, map_grads = not_loss_map(pair, x, spec.vector, cfg)
-            adam_step(map_opt, map_params, map_grads)
+            loss_t = _map_step(work, map_params, map_opt, spec, cfg, rng)
         trace.potential_losses.append(loss_f)
         trace.map_losses.append(loss_t)
         if max(abs(loss_f), abs(loss_t)) > cfg.divergence_guard:
@@ -389,13 +409,12 @@ def duality_gap_estimate(pair: NotModelPair, dataset: ConditionalDataset,
         potential_model=pair.potential_model,
         nonpositivity_transform=pair.nonpositivity_transform,
     )
+    probe_work = _working_pair(probe_pair)
     opt = adam_init(fresh_map.params, cfg.map_lr, weight_decay=cfg.weight_decay)
     n_cond = len(dataset.conditions)
     for _ in range(probe_iterations):
         spec = dataset.conditions[int(rng.integers(n_cond))]
-        x = spec.source_sampler(cfg.batch_size, rng)
-        _, grads = not_loss_map(probe_pair, x, spec.vector, cfg)
-        adam_step(opt, fresh_map.params, grads)
+        _map_step(probe_work, fresh_map.params, opt, spec, cfg, rng)
     fresh_map_loss = _map_only_loss(probe_pair, dataset, cfg, eval_batches)
     epsilon1 = current_map_loss - fresh_map_loss
 

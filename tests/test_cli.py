@@ -250,6 +250,24 @@ class TestTrainFm:
         assert len(lines) == 301
         assert (tmp_path / "fm.otm.run.cfg").exists()
 
+    def test_run_twice_is_byte_identical(self, tmp_path, capsys):
+        data = self._synth(tmp_path, capsys)
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = tmp_path / "fm.cfg"
+        cfg.write_text("command = train-fm\nfm_hidden_dims = 16,16\n"
+                       "fm_batch_size = 64\nfm_iterations = 40\n")
+        argv = ["train-fm", "--config", cfg, "--source", data / "source.otf",
+                "--reference", data / "target.otf", "--out-model", out / "fm.otm",
+                "--seed", 3]
+        runs = []
+        for _ in range(2):
+            code, stdout, _ = run_cli(capsys, *argv)
+            assert code == 0
+            runs.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert {"fm.otm", "fm.otm.loss.csv"} <= set(runs[0][1])
+        assert runs[0] == runs[1]
+
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "fm.cfg"
         cfg.write_text("command = train-fm\nseed = 1\n")

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from otconvert.errors import NumericalError, ShapeError, ValidationError
+from otconvert.fileio import (read_not_pair, read_velocity_field, write_not_pair,
+                              write_velocity_field)
+from otconvert.flow import FlowConfig, fm_train
+from otconvert.neural import NotConfig, dataset_from_arrays, not_train
 from otconvert.nn import (
     MlpModel,
     adam_init,
@@ -9,6 +13,7 @@ from otconvert.nn import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    working_copy,
 )
 from otconvert.rng import make_rng
 
@@ -118,6 +123,34 @@ def test_backward_matches_finite_differences(activation, time_conditioned, condi
     np.testing.assert_allclose(x_grad, fd_x, rtol=FD_RTOL, atol=1e-7)
 
 
+# float32 passes against float64 ones, relative to the largest magnitude
+# compared: a few float32 roundings for these two-layer nets
+F32_TOL = 8 * np.finfo(np.float32).eps
+
+
+def _assert_f32_close(got, want):
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=0, atol=F32_TOL * np.abs(want).max())
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("time_conditioned,condition_dim", [(False, 0), (True, 2)])
+def test_working_copy_passes_match_float64_to_float32_rounding(
+        activation, time_conditioned, condition_dim):
+    model, x, t, s, upstream = _build(activation, time_conditioned, condition_dim)
+    if activation == "relu":
+        # float32 rounding must not flip a unit's side of the kink
+        assert _relu_margin(model, x, t, s) > 1e-3
+    work = working_copy(model)
+    assert work.params.dtype == np.float32
+    assert model.params.dtype == np.float64
+    _assert_f32_close(mlp_forward(work, x, t=t, s=s), mlp_forward(model, x, t=t, s=s))
+    grad32, x_grad32 = mlp_backward(work, x, t=t, s=s, upstream=upstream)
+    grad64, x_grad64 = mlp_backward(model, x, t=t, s=s, upstream=upstream)
+    _assert_f32_close(grad32, grad64)
+    _assert_f32_close(x_grad32, x_grad64)
+
+
 def test_backward_accepts_precomputed_cache():
     model, x, t, s, upstream = _build("tanh", True, 2)
     from otconvert.nn import _forward_cached
@@ -218,6 +251,51 @@ def test_adam_rejects_non_finite_gradient_with_index():
     # a rejected step leaves parameters and state untouched
     assert state.step == 0
     np.testing.assert_array_equal(params, np.zeros(5))
+
+
+def test_adam_widens_float32_gradients_and_refreshes_the_working_copy():
+    model = init_mlp((3, 5, 2), make_rng(0, "init"), condition_dim=1)
+    work = working_copy(model)
+    widened = model.params.copy()
+    state32 = adam_init(model.params, 0.01, weight_decay=0.1)
+    state64 = adam_init(widened, 0.01, weight_decay=0.1)
+    data = make_rng(1)
+    for _ in range(5):
+        g32 = data.normal(size=model.params.size).astype(np.float32)
+        adam_step(state32, model.params, g32, work.params)
+        adam_step(state64, widened, g32.astype(np.float64))
+        assert model.params.dtype == np.float64
+        assert np.array_equal(model.params, widened)
+        assert np.array_equal(state32.buffers[:2], state64.buffers[:2])
+        assert np.array_equal(work.params, model.params.astype(np.float32))
+
+
+def test_trained_params_stay_float64_through_model_files(tmp_path):
+    rng = make_rng(2)
+    shift = np.array([1.0, -0.5])
+
+    def pairs(count, rng):
+        x0 = rng.normal(size=(count, 2))
+        return x0, x0 + shift
+
+    field = fm_train(pairs, FlowConfig(hidden_dims=(8,), batch_size=16, iterations=5),
+                     make_rng(3, "train"))
+    dataset = dataset_from_arrays([("c", [1.0], rng.normal(size=(50, 2)),
+                                    rng.normal(size=(50, 2)) + shift)])
+    pair, _ = not_train(dataset, NotConfig(hidden_dims=(8,), batch_size=16,
+                                           inner_steps=2, total_outer_iterations=3,
+                                           eval_samples=8),
+                        make_rng(4, "train"))
+    write_velocity_field(tmp_path / "field.otm", field)
+    write_not_pair(tmp_path / "pair.otm", pair)
+    loaded_field, _ = read_velocity_field(tmp_path / "field.otm")
+    loaded_pair, _ = read_not_pair(tmp_path / "pair.otm")
+    for trained, loaded in ((field.model, loaded_field.model),
+                            (pair.map_model, loaded_pair.map_model),
+                            (pair.potential_model, loaded_pair.potential_model)):
+        assert trained.params.dtype == np.float64
+        assert loaded.params.dtype == np.float64
+        assert np.array_equal(loaded.params, trained.params)
 
 
 def test_adam_rejects_mismatched_shapes():
