@@ -276,9 +276,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     finite = np.isfinite(grads)
     if not finite.all():
         raise NumericalError(f"non-finite gradient at flat index {np.argmin(finite)}")
-    if grads.dtype != np.float64:
-        np.copyto(t2, grads)
-        grads = t2  # t2 is free until the second moment is read below
+    np.copyto(t2, grads)
+    grads = t2  # t2 is free until the second moment is read below
     b1, b2 = state.betas
     state.step += 1
     bc1 = 1.0 - b1 ** state.step
