@@ -36,14 +36,15 @@ from .convert import knn_convert, sinkvc_convert
 from .discrete import COST_KINDS, SinkhornConfig, cost_matrix, sinkhorn
 from .errors import (CapacityError, ConvergenceWarning, DivergenceError,
                      NumericalError, SettingError, ValidationError)
-from .fileio import (REQUIRED, _format_value, atomic_write_text,
+from .fileio import (REQUIRED, FeatureData, _format_value, atomic_write_text,
                      format_kv_text, parse_kv_text, read_feature_file,
                      read_text_file, resolve_config, write_feature_file,
                      write_not_pair, write_velocity_field)
 from .flow import FlowConfig, fm_pipeline, fm_train, plan_pair_sampler
 from .metrics import (W2_MODES, frechet_distance, theorem1_check,
                       w2_squared_empirical)
-from .neural import LR_DECAYS, NotConfig, dataset_from_arrays, not_train
+from .neural import (LR_DECAYS, ConditionalDataset, NotConfig, dataset_from_arrays,
+                     not_train)
 from .rng import make_rng
 from . import synth as synth_tasks
 
@@ -215,11 +216,23 @@ def _print_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _read_features(path: str, key: str = "") -> FeatureData:
+    """A feature file as float64; empty or non-finite ones are errors naming key and path."""
+    data = read_feature_file(path)
+    data.values = data.values.astype(np.float64, copy=False)
+    where = f"'{key}' ({path})" if key else path
+    if not data.values.size:
+        raise ValidationError(f"{where}: holds no feature values (shape {data.values.shape})")
+    finite = np.isfinite(data.values).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"{where}: row {np.argmin(finite)} holds a non-finite value")
+    return data
+
+
 def cmd_convert(resolved: dict) -> int:
-    source = read_feature_file(resolved["source"])
-    reference = read_feature_file(resolved["reference"])
-    src = source.values.astype(np.float64)
-    ref = reference.values.astype(np.float64)
+    source = _read_features(resolved["source"])
+    src = source.values
+    ref = _read_features(resolved["reference"]).values
     method = resolved["method"]
     if method != "fmvc" and resolved["cost"] != "cosine_distance":
         raise ValidationError(f"--cost applies only to --method fmvc; {method}"
@@ -265,26 +278,36 @@ def _loss_csv(path: str, header: str, rows):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def cmd_train_fm(resolved: dict) -> int:
-    source = read_feature_file(resolved["source"]).values.astype(np.float64)
-    reference = read_feature_file(resolved["reference"]).values.astype(np.float64)
-    cost = cost_matrix(source, reference, resolved["cost"])
-    plan = sinkhorn(cost, cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS))
+def _train_with_loss_csv(resolved: dict, train, header: str, rows_of):
+    """Run train() -> (model, trace); write its loss CSV, on divergence too."""
     trace_path = resolved["loss_trace"] or resolved["out_model"] + ".loss.csv"
     try:
+        model, trace = train()
+    except DivergenceError as err:
+        if err.trace:
+            _loss_csv(trace_path, header, rows_of(err.trace))
+            err.args = (f"{err.args[0]} (trace written to {trace_path})",)
+        raise
+    _loss_csv(trace_path, header, rows_of(trace))
+    return model, trace, trace_path
+
+
+def cmd_train_fm(resolved: dict) -> int:
+    source = _read_features(resolved["source"]).values
+    reference = _read_features(resolved["reference"]).values
+    cost = cost_matrix(source, reference, resolved["cost"])
+    plan = sinkhorn(cost, cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS))
+
+    def train():
         field = fm_train(plan_pair_sampler(plan, source, reference),
                          _config_of(FlowConfig, resolved, _FLOW_FIELDS),
                          make_rng(resolved["seed"], "train"))
-    except DivergenceError as err:
-        if err.trace:
-            _loss_csv(trace_path, "iteration,loss",
-                      list(enumerate(err.trace)))
-            err.args = (f"{err.args[0]} (trace written to {trace_path})",)
-        raise
+        return field, field.training_loss_trace
+
+    field, _, trace_path = _train_with_loss_csv(resolved, train, "iteration,loss",
+                                                enumerate)
     write_velocity_field(resolved["out_model"], field,
                          config_text=_config_text(resolved))
-    _loss_csv(trace_path, "iteration,loss",
-              list(enumerate(field.training_loss_trace)))
     _emit_config(resolved["out_model"] + ".run.cfg", resolved)
     _print_json({
         "out_model": resolved["out_model"],
@@ -297,7 +320,7 @@ def cmd_train_fm(resolved: dict) -> int:
     return EXIT_OK
 
 
-def parse_dataset_spec(path: str):
+def parse_dataset_spec(path: str) -> ConditionalDataset:
     """Read a condition listing: labels plus per-label vector/source/target.
 
     Format (flat key-value text):
@@ -308,7 +331,8 @@ def parse_dataset_spec(path: str):
         plus.target = plus_target.otf
         ...
 
-    Paths are resolved relative to the spec file's directory.
+    Paths are resolved relative to the spec file's directory. Every error
+    names the spec file, and the key when one is at fault.
     """
     raw = parse_kv_text(read_text_file(path))
     if "conditions" not in raw:
@@ -319,47 +343,35 @@ def parse_dataset_spec(path: str):
     base = os.path.dirname(os.path.abspath(path))
     schema = {f"{label}.{field}": ("str", REQUIRED)
               for label in labels for field in ("vector", "source", "target")}
+    conditions = []
     try:
         raw = resolve_config(raw, schema)
+        for label in labels:
+            try:
+                vector = np.array([float(part) for part in raw[f"{label}.vector"].split(",")])
+            except ValueError:
+                raise ValidationError(f"'{label}.vector' must be comma-separated numbers,"
+                                      f" got {raw[f'{label}.vector']!r}") from None
+            source, target = (_read_features(os.path.join(base, raw[key]), key).values
+                              for key in (f"{label}.source", f"{label}.target"))
+            conditions.append((label, vector, source, target))
+        return dataset_from_arrays(conditions)
     except ValidationError as err:
         raise ValidationError(f"{path}: {err}") from None
-    entries = []
-    for label in labels:
-        try:
-            vector = np.array([float(part) for part in raw[f"{label}.vector"].split(",")])
-        except ValueError:
-            raise ValidationError(
-                f"{path}: '{label}.vector' must be comma-separated numbers,"
-                f" got {raw[f'{label}.vector']!r}"
-            ) from None
-        source = read_feature_file(os.path.join(base, raw[f"{label}.source"]))
-        target = read_feature_file(os.path.join(base, raw[f"{label}.target"]))
-        entries.append((label, vector,
-                        source.values.astype(np.float64),
-                        target.values.astype(np.float64)))
-    return entries
+
+
+def _not_trace_rows(trace):
+    return [(i, f, t) for i, (f, t) in
+            enumerate(zip(trace.potential_losses, trace.map_losses), start=1)]
 
 
 def cmd_train_not(resolved: dict) -> int:
-    entries = parse_dataset_spec(resolved["dataset_spec"])
-    dataset = dataset_from_arrays(entries)
+    dataset = parse_dataset_spec(resolved["dataset_spec"])
     cfg = _config_of(NotConfig, resolved, _NOT_FIELDS)
-    trace_path = resolved["loss_trace"] or resolved["out_model"] + ".loss.csv"
-
-    def trace_rows(trace):
-        return [(i, f, t) for i, (f, t) in
-                enumerate(zip(trace.potential_losses, trace.map_losses), start=1)]
-
-    try:
-        pair, trace = not_train(dataset, cfg, make_rng(resolved["seed"], "train"))
-    except DivergenceError as err:
-        if err.trace is not None:
-            _loss_csv(trace_path, "iteration,potential_loss,map_loss",
-                      trace_rows(err.trace))
-            err.args = (f"{err.args[0]} (trace written to {trace_path})",)
-        raise
+    pair, trace, trace_path = _train_with_loss_csv(
+        resolved, lambda: not_train(dataset, cfg, make_rng(resolved["seed"], "train")),
+        "iteration,potential_loss,map_loss", _not_trace_rows)
     write_not_pair(resolved["out_model"], pair, config_text=_config_text(resolved))
-    _loss_csv(trace_path, "iteration,potential_loss,map_loss", trace_rows(trace))
     _emit_config(resolved["out_model"] + ".run.cfg", resolved)
     last = trace.checkpoints[-1]
     _print_json({
@@ -377,8 +389,8 @@ def cmd_train_not(resolved: dict) -> int:
 
 
 def cmd_eval(resolved: dict) -> int:
-    a = read_feature_file(resolved["a"]).values.astype(np.float64)
-    b = read_feature_file(resolved["b"]).values.astype(np.float64)
+    a = _read_features(resolved["a"]).values
+    b = _read_features(resolved["b"]).values
     wanted = [part.strip() for part in resolved["metrics"].split(",") if part.strip()]
     allowed = ("w2", "fd", "theorem1")
     for name in wanted:

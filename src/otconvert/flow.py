@@ -93,25 +93,27 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
     work = working_copy(model)
     opt = adam_init(model.params, cfg.learning_rate)
     trace: list[float] = []
-    for iteration in range(cfg.iterations):
-        x0, x1 = pair_sampler(cfg.batch_size, rng)
-        x0 = np.asarray(x0, dtype=np.float64)
-        x1 = np.asarray(x1, dtype=np.float64)
-        t = rng.uniform(size=cfg.batch_size)
-        xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-        target = x1 - x0
-        pred, cache = _forward_cached(work, xt, t=t)
-        diff = pred - target
-        loss = float(np.mean(np.sum(diff * diff, axis=1)))
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"training loss became non-finite at iteration {iteration}",
-                trace=trace,
-            )
-        trace.append(loss)
-        grads, _ = mlp_backward(work, xt, t=t, upstream=2.0 * diff / cfg.batch_size,
-                                cache=cache)
-        adam_step(opt, model.params, grads, work.params)
+    # the loss check and adam_step turn float32 overflow into errors
+    with np.errstate(all="ignore"):
+        for iteration in range(cfg.iterations):
+            x0, x1 = pair_sampler(cfg.batch_size, rng)
+            x0 = np.asarray(x0, dtype=np.float64)
+            x1 = np.asarray(x1, dtype=np.float64)
+            t = rng.uniform(size=cfg.batch_size)
+            xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
+            target = x1 - x0
+            pred, cache = _forward_cached(work, xt, t=t)
+            diff = pred - target
+            loss = float(np.mean(np.sum(diff * diff, axis=1)))
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"training loss became non-finite at iteration {iteration}",
+                    trace=trace,
+                )
+            trace.append(loss)
+            grads, _ = mlp_backward(work, xt, t=t, upstream=2.0 * diff / cfg.batch_size,
+                                    cache=cache)
+            adam_step(opt, model.params, grads, work.params)
     return VelocityField(model=model, dim=dim, training_loss_trace=trace)
 
 

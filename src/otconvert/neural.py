@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -44,68 +43,54 @@ LR_DECAYS = ("none", "cosine")
 
 @dataclass
 class ConditionSpec:
-    """One conversion direction: a condition vector and its two samplers.
-
-    Samplers are called as sampler(count, rng) and must return (count, dim)
-    arrays.
-    """
+    """One conversion direction: condition vector, source and target rows, all float64."""
 
     label: str
     vector: np.ndarray
-    source_sampler: Callable
-    target_sampler: Callable
+    source: np.ndarray
+    target: np.ndarray
+
+
+def draw_rows(rows: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` rows drawn from ``rows`` uniformly with replacement."""
+    return rows[rng.integers(0, rows.shape[0], size=count)]
 
 
 @dataclass
 class ConditionalDataset:
-    dim: int
-    condition_dim: int
+    """Conditions whose vectors and rows are as wide as the first condition's.
+
+    Vectors must be finite and sources and targets nonempty; errors name the
+    offending ``<label>.<vector|source|target>``.
+    """
+
     conditions: list
+    dim: int = field(init=False)
+    condition_dim: int = field(init=False)
 
     def __post_init__(self):
         if not self.conditions:
             raise ValidationError("dataset needs at least one condition")
+        first = self.conditions[0]
+        self.condition_dim = first.vector.shape[0] if first.vector.ndim == 1 else 0
+        self.dim = first.source.shape[1] if first.source.ndim == 2 else 0
         for spec in self.conditions:
-            vec = np.asarray(spec.vector, dtype=np.float64)
-            if vec.shape != (self.condition_dim,):
-                raise ShapeError(
-                    f"condition {spec.label!r} vector has shape {vec.shape},"
-                    f" expected ({self.condition_dim},)"
-                )
+            vec = spec.vector
+            if not (self.condition_dim and vec.shape == (self.condition_dim,)
+                    and np.isfinite(vec).all()):
+                raise ValidationError(f"{spec.label}.vector {vec.tolist()} is not a nonempty"
+                                      f" finite vector as wide as {first.label}.vector")
+            for side, rows in (("source", spec.source), ("target", spec.target)):
+                if rows.ndim != 2 or not rows.size or rows.shape[1] != self.dim:
+                    raise ShapeError(f"{spec.label}.{side} has shape {rows.shape}, not a"
+                                     f" nonempty matrix as wide as {first.label}.source")
 
 
-def dataset_from_arrays(entries, dim: int | None = None) -> ConditionalDataset:
-    """Build a dataset whose samplers resample rows with replacement.
-
-    entries: iterable of (label, condition_vector, source_rows, target_rows).
-    """
-    conditions = []
-    cond_dim = None
-    for label, vector, source_rows, target_rows in entries:
-        vector = np.asarray(vector, dtype=np.float64)
-        source_rows = np.asarray(source_rows, dtype=np.float64)
-        target_rows = np.asarray(target_rows, dtype=np.float64)
-        if dim is None:
-            dim = source_rows.shape[1]
-        if cond_dim is None:
-            cond_dim = vector.shape[0]
-
-        def make(rows):
-            def sampler(count, rng, rows=rows):
-                return rows[rng.integers(0, rows.shape[0], size=count)]
-
-            return sampler
-
-        conditions.append(
-            ConditionSpec(
-                label=str(label),
-                vector=vector,
-                source_sampler=make(source_rows),
-                target_sampler=make(target_rows),
-            )
-        )
-    return ConditionalDataset(dim=int(dim), condition_dim=int(cond_dim),
-                              conditions=conditions)
+def dataset_from_arrays(entries) -> ConditionalDataset:
+    """A dataset from (label, condition_vector, source_rows, target_rows) entries."""
+    return ConditionalDataset([
+        ConditionSpec(str(label), *(np.asarray(a, dtype=np.float64) for a in arrays))
+        for label, *arrays in entries])
 
 
 @dataclass
@@ -266,9 +251,8 @@ class TrainTrace:
 
 def _working_pair(pair: NotModelPair) -> NotModelPair:
     """The pair's float32 working copies, on which training runs its passes."""
-    return NotModelPair(map_model=working_copy(pair.map_model),
-                        potential_model=working_copy(pair.potential_model),
-                        nonpositivity_transform=pair.nonpositivity_transform)
+    return dataclasses.replace(pair, map_model=working_copy(pair.map_model),
+                               potential_model=working_copy(pair.potential_model))
 
 
 def _map_step(work: NotModelPair, map_params, opt, spec: ConditionSpec,
@@ -278,29 +262,28 @@ def _map_step(work: NotModelPair, map_params, opt, spec: ConditionSpec,
     The loss and gradient come from the working pair; the step updates the
     float64 master vector map_params and refreshes the working map from it.
     """
-    x = spec.source_sampler(cfg.batch_size, rng)
+    x = draw_rows(spec.source, cfg.batch_size, rng)
     loss, grads = not_loss_map(work, x, spec.vector, cfg)
     adam_step(opt, map_params, grads, work.map_model.params)
     return loss
 
 
-def _init_pair(dim, condition_dim, cfg, rng) -> NotModelPair:
-    map_model = init_mlp((dim, *cfg.hidden_dims, dim), rng, activation="relu",
-                         condition_dim=condition_dim)
-    potential_model = init_mlp((dim, *cfg.hidden_dims, 1), rng, activation="relu",
-                               condition_dim=condition_dim)
-    return NotModelPair(
-        map_model=map_model,
-        potential_model=potential_model,
-        nonpositivity_transform=cfg.extremal,
-    )
+def _init_net(dataset, output_dim, cfg, rng) -> MlpModel:
+    return init_mlp((dataset.dim, *cfg.hidden_dims, output_dim), rng,
+                    activation="relu", condition_dim=dataset.condition_dim)
+
+
+def _init_pair(dataset, cfg, rng) -> NotModelPair:
+    return NotModelPair(map_model=_init_net(dataset, dataset.dim, cfg, rng),
+                        potential_model=_init_net(dataset, 1, cfg, rng),
+                        nonpositivity_transform=cfg.extremal)
 
 
 def _checkpoint(pair, dataset, cfg, rng, iteration) -> Checkpoint:
     evals = []
     for spec in dataset.conditions:
-        xs = spec.source_sampler(cfg.eval_samples, rng)
-        ys = spec.target_sampler(cfg.eval_samples, rng)
+        xs = draw_rows(spec.source, cfg.eval_samples, rng)
+        ys = draw_rows(spec.target, cfg.eval_samples, rng)
         tx = apply_map(pair, xs, spec.vector)
         w2_map = w2_squared_empirical(tx, ys, mode="exact_small")
         w2_src = w2_squared_empirical(xs, ys, mode="exact_small")
@@ -325,7 +308,7 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
     Losses and gradients come from float32 working copies of the pair; the
     returned pair and the checkpoints use the float64 master.
     """
-    pair = _init_pair(dataset.dim, dataset.condition_dim, cfg, rng)
+    pair = _init_pair(dataset, cfg, rng)
     work = _working_pair(pair)
     pot_params, map_params = pair.potential_model.params, pair.map_model.params
     pot_opt = adam_init(pot_params, cfg.potential_lr, weight_decay=cfg.weight_decay)
@@ -337,12 +320,14 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
         pot_opt.learning_rate = scale * cfg.potential_lr
         map_opt.learning_rate = scale * cfg.map_lr
         spec = dataset.conditions[int(rng.integers(n_cond))]
-        x = spec.source_sampler(cfg.batch_size, rng)
-        y = spec.target_sampler(cfg.batch_size, rng)
-        loss_f, pot_grads = not_loss_potential(work, x, y, spec.vector, cfg)
-        adam_step(pot_opt, pot_params, -pot_grads, work.potential_model.params)
-        for _ in range(cfg.inner_steps):
-            loss_t = _map_step(work, map_params, map_opt, spec, cfg, rng)
+        x = draw_rows(spec.source, cfg.batch_size, rng)
+        y = draw_rows(spec.target, cfg.batch_size, rng)
+        # the losses and adam_step turn float32 overflow into errors
+        with np.errstate(all="ignore"):
+            loss_f, pot_grads = not_loss_potential(work, x, y, spec.vector, cfg)
+            adam_step(pot_opt, pot_params, -pot_grads, work.potential_model.params)
+            for _ in range(cfg.inner_steps):
+                loss_t = _map_step(work, map_params, map_opt, spec, cfg, rng)
         trace.potential_losses.append(loss_f)
         trace.map_losses.append(loss_t)
         if max(abs(loss_f), abs(loss_t)) > cfg.divergence_guard:
@@ -396,19 +381,14 @@ def duality_gap_estimate(pair: NotModelPair, dataset: ConditionalDataset,
     """
     _check_mode(pair, cfg)
     eval_batches = [
-        (spec.source_sampler(eval_samples, rng), spec.target_sampler(eval_samples, rng))
+        (draw_rows(spec.source, eval_samples, rng), draw_rows(spec.target, eval_samples, rng))
         for spec in dataset.conditions
     ]
     current_map_loss = _map_only_loss(pair, dataset, cfg, eval_batches)
 
     # best-response probe: fresh map, frozen potential
-    fresh_map = init_mlp((dataset.dim, *cfg.hidden_dims, dataset.dim), rng,
-                         activation="relu", condition_dim=dataset.condition_dim)
-    probe_pair = NotModelPair(
-        map_model=fresh_map,
-        potential_model=pair.potential_model,
-        nonpositivity_transform=pair.nonpositivity_transform,
-    )
+    fresh_map = _init_net(dataset, dataset.dim, cfg, rng)
+    probe_pair = dataclasses.replace(pair, map_model=fresh_map)
     probe_work = _working_pair(probe_pair)
     opt = adam_init(fresh_map.params, cfg.map_lr, weight_decay=cfg.weight_decay)
     n_cond = len(dataset.conditions)

@@ -282,6 +282,27 @@ class TestTrainFm:
         assert code == 2
         assert "lerning_rate" in err
 
+    def test_divergence_exits_4_with_one_line_and_trace(self, tmp_path, capsys):
+        data = self._synth(tmp_path, capsys)
+        model = tmp_path / "fm.otm"
+        cfg = tmp_path / "fm.cfg"
+        cfg.write_text("command = train-fm\nfm_hidden_dims = 8\n"
+                       "fm_batch_size = 16\nfm_learning_rate = 1e30\n")
+        # a subprocess, so numpy's overflow warnings would reach its stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "otconvert", "train-fm", "--config", str(cfg),
+             "--source", str(data / "source.otf"),
+             "--reference", str(data / "target.otf"), "--out-model", str(model)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4
+        trace_path = tmp_path / "fm.otm.loss.csv"
+        assert proc.stderr.splitlines() == [
+            "training diverged: training loss became non-finite at iteration 1"
+            f" (trace written to {trace_path})"]
+        assert trace_path.read_text().splitlines()[0] == "iteration,loss"
+        assert len(trace_path.read_text().splitlines()) == 2
+        assert not model.exists()
+
     def test_wrong_command_config_exits_2(self, tmp_path, capsys):
         src = tmp_path / "s.otf"
         make_frames(src, n=10, d=2)
@@ -507,10 +528,56 @@ def _non_utf8_config(tmp_path):
     return cfg, ["synth", "--config", cfg, "--out-dir", tmp_path / "d"]
 
 
+_NO_ROWS = np.zeros((0, 2))
+_NAN_ROW = np.array([[1.0, 2.0]] * 4 + [[3.0, np.nan]])
+
+
+def _bad_and_good_otf(tmp_path, values):
+    bad, good = tmp_path / "bad.otf", tmp_path / "s.otf"
+    write_feature_file(bad, values)
+    make_frames(good, n=10, d=2, seed=19)
+    return bad, good
+
+
+def _empty_convert_reference(tmp_path):
+    bad, good = _bad_and_good_otf(tmp_path, _NO_ROWS)
+    return bad, ["convert", "--source", good, "--reference", bad,
+                 "--out", tmp_path / "o.otf"]
+
+
+def _nan_train_fm_source(tmp_path):
+    bad, good = _bad_and_good_otf(tmp_path, _NAN_ROW)
+    return bad, ["train-fm", "--source", bad, "--reference", good,
+                 "--out-model", tmp_path / "f.otm"]
+
+
+def _empty_eval_a(tmp_path):
+    bad, good = _bad_and_good_otf(tmp_path, _NO_ROWS)
+    return bad, ["eval", "--a", bad, "--b", good, "--report", tmp_path / "r.json"]
+
+
+def _nan_eval_b(tmp_path):
+    bad, good = _bad_and_good_otf(tmp_path, _NAN_ROW)
+    return bad, ["eval", "--a", good, "--b", bad, "--metrics", "fd"]
+
+
+def _nan_train_not_source(tmp_path):
+    bad, _ = _bad_and_good_otf(tmp_path, _NAN_ROW)
+    spec = tmp_path / "nan.spec"
+    spec.write_bytes(b"conditions = c\nc.vector = 1\n"
+                     b"c.source = bad.otf\nc.target = s.otf\n")
+    return bad, ["train-not", "--dataset-spec", spec,
+                 "--out-model", tmp_path / "p.otm"]
+
+
 @pytest.mark.parametrize("make_case", [_bad_tag_otf, _non_numeric_vector,
-                                       _non_utf8_spec, _non_utf8_config])
+                                       _non_utf8_spec, _non_utf8_config,
+                                       _empty_convert_reference, _nan_train_fm_source,
+                                       _empty_eval_a, _nan_eval_b,
+                                       _nan_train_not_source])
 def test_undecodable_input_exits_2_with_one_line(tmp_path, make_case):
     bad, argv = make_case(tmp_path)
+    inputs = set(tmp_path.iterdir())
     proc = subprocess.run(
         [sys.executable, "-m", "otconvert", *(str(a) for a in argv)],
         capture_output=True, text=True)
@@ -519,14 +586,20 @@ def test_undecodable_input_exits_2_with_one_line(tmp_path, make_case):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert bad.name in lines[0]
+    assert set(tmp_path.iterdir()) == inputs  # no output file left behind
 
 
 @pytest.mark.parametrize("body, key", [
     (b"c.vector = 1\nc.source = s.otf\nc.target = s.otf\nc.weight = 2\n", "c.weight"),
     (b"c.vector = 1\nc.target = s.otf\n", "c.source"),
-], ids=["unknown-key", "missing-source"])
+    (b"c.vector = 1\nc.source = s.otf\nc.target = wide.otf\n", "c.target"),
+    (b"c.vector = 1\nc.source = s.otf\nc.target = empty.otf\n", "c.target"),
+    (b"c.vector = nan\nc.source = s.otf\nc.target = s.otf\n", "c.vector"),
+], ids=["unknown-key", "missing-source", "wide-target", "empty-target", "nan-vector"])
 def test_dataset_spec_key_error_exits_2_naming_file_and_key(tmp_path, body, key):
     make_frames(tmp_path / "s.otf", n=10, d=2, seed=19)
+    make_frames(tmp_path / "wide.otf", n=10, d=3, seed=19)
+    write_feature_file(tmp_path / "empty.otf", np.zeros((0, 2)))
     spec = tmp_path / "keys.spec"
     spec.write_bytes(b"conditions = c\n" + body)
     proc = subprocess.run(

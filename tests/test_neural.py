@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 from otconvert.discrete import SinkhornConfig
-from otconvert.errors import DivergenceError, ShapeError, ValidationError
+from otconvert.errors import DivergenceError, ValidationError
 from otconvert.flow import FlowConfig
 from otconvert.neural import (
     ConditionalDataset,
@@ -19,6 +19,7 @@ from otconvert.neural import (
     NotModelPair,
     apply_map,
     dataset_from_arrays,
+    draw_rows,
     duality_gap_estimate,
     not_loss_map,
     not_loss_potential,
@@ -239,18 +240,30 @@ class TestStructure:
         assert NotConfig(w=3.0).w_effective == 1.0
 
     def test_dataset_validation(self):
-        with pytest.raises(ValidationError):
-            ConditionalDataset(dim=2, condition_dim=1, conditions=[])
-        spec = ConditionSpec(label="a", vector=np.zeros(3),
-                             source_sampler=None, target_sampler=None)
-        with pytest.raises(ShapeError):
-            ConditionalDataset(dim=2, condition_dim=2, conditions=[spec])
+        rows = np.zeros((4, 2))
+
+        def spec(label, vector, source=rows, target=rows):
+            return ConditionSpec(label, np.array(vector), source, target)
+
+        with pytest.raises(ValidationError, match="at least one condition"):
+            ConditionalDataset([])
+        ds = ConditionalDataset([spec("a", [1.0, 0.0]), spec("b", [0.0, 1.0])])
+        assert (ds.dim, ds.condition_dim) == (2, 2)
+        for bad, key in [(spec("b", [0.0, 1.0, 2.0]), "b.vector"),
+                         (spec("b", [np.nan, 1.0]), "b.vector"),
+                         (spec("b", [0.0, 1.0], target=np.zeros((4, 3))), "b.target"),
+                         (spec("b", [0.0, 1.0], source=np.zeros((0, 2))), "b.source")]:
+            with pytest.raises(ValidationError, match=f"^{key} "):
+                ConditionalDataset([spec("a", [1.0, 0.0]), bad])
 
     def test_dataset_from_arrays_resamples_rows(self):
         rows = np.arange(8.0).reshape(4, 2)
         ds = dataset_from_arrays([("c", [1.0], rows, rows + 100.0)])
-        batch = ds.conditions[0].source_sampler(64, make_rng(7))
-        assert batch.shape == (64, 2)
+        assert ds.conditions[0].source.dtype == np.float64
+        batch = draw_rows(ds.conditions[0].source, 64, make_rng(7))
+        # the draw the trained bytes rest on: one integers() call per batch
+        np.testing.assert_array_equal(
+            batch, rows[make_rng(7).integers(0, 4, size=64)])
         # every drawn row must literally be one of the four inputs
         matches = (batch[:, None, :] == rows[None, :, :]).all(axis=2)
         assert matches.any(axis=1).all()
