@@ -217,10 +217,13 @@ def _print_json(payload: dict):
 
 
 def _read_features(path: str, key: str = "") -> FeatureData:
-    """A feature file as float64; empty or non-finite ones are errors naming key and path."""
-    data = read_feature_file(path)
-    data.values = data.values.astype(np.float64, copy=False)
+    """A feature file as float64; a missing, empty or non-finite one is an error naming it."""
     where = f"'{key}' ({path})" if key else path
+    try:
+        data = read_feature_file(path)
+    except OSError as err:
+        raise ValidationError(f"{where}: {err.strerror or err}") from None
+    data.values = data.values.astype(np.float64, copy=False)
     if not data.values.size:
         raise ValidationError(f"{where}: holds no feature values (shape {data.values.shape})")
     finite = np.isfinite(data.values).all(axis=1)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, linear_sum_assignment, linprog
 
 from .errors import (CapacityError, ConvergenceWarning, DomainError, NumericalError,
                      SettingError, ShapeError, ValidationError, reject_non_finite)
@@ -259,7 +258,10 @@ def _ascent_bound(omega) -> float:
         return omega * d - math.exp((omega - 1.0) * d) + math.exp(-d)
 
     cap = math.log(_SCALING_BOUND)
-    return cap if gain(cap) > 0.0 else brentq(gain, 1e-3, cap)
+    if gain(cap) > 0.0:
+        return cap
+    from scipy.optimize import brentq
+    return brentq(gain, 1e-3, cap)
 
 
 def _relax_scaling(scaling, target, sums, omega, bound) -> bool:
@@ -394,6 +396,8 @@ def exact_ot(cost, a=None, b=None):
     64 x 64. Equal uniform marginals on a square instance reduce to an
     assignment problem; anything else is solved as the transportation LP.
     """
+    from scipy.optimize import linear_sum_assignment, linprog
+
     values = _cost_values(cost)
     m, n = values.shape
     if m > EXACT_SIZE_LIMIT or n > EXACT_SIZE_LIMIT:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (DivergenceError, SettingError, ShapeError, ValidationError,
                      reject_non_finite)
@@ -171,6 +170,7 @@ def _potential_with_grads(pair, y, s, upstream_f, params=True):
     """
     u, cache = _forward_cached(pair.potential_model, y, s=s)
     if pair.nonpositivity_transform:
+        from scipy.special import expit
         f = -np.logaddexp(0.0, u[:, 0])
         up_u = (upstream_f * -expit(u[:, 0]))[:, None]
     else:
@@ -324,10 +324,14 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
         y = draw_rows(spec.target, cfg.batch_size, rng)
         # the losses and adam_step turn float32 overflow into errors
         with np.errstate(all="ignore"):
-            loss_f, pot_grads = not_loss_potential(work, x, y, spec.vector, cfg)
-            adam_step(pot_opt, pot_params, -pot_grads, work.potential_model.params)
-            for _ in range(cfg.inner_steps):
-                loss_t = _map_step(work, map_params, map_opt, spec, cfg, rng)
+            try:
+                loss_f, pot_grads = not_loss_potential(work, x, y, spec.vector, cfg)
+                adam_step(pot_opt, pot_params, -pot_grads, work.potential_model.params)
+                for _ in range(cfg.inner_steps):
+                    loss_t = _map_step(work, map_params, map_opt, spec, cfg, rng)
+            except DivergenceError as err:
+                err.trace = trace  # the iterations finished before this one
+                raise
         trace.potential_losses.append(loss_f)
         trace.map_losses.append(loss_t)
         if max(abs(loss_f), abs(loss_t)) > cfg.divergence_guard:

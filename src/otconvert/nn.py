@@ -72,9 +72,11 @@ class MlpModel:
     def __post_init__(self):
         self.layer_dims = tuple(int(d) for d in self.layer_dims)
         self.condition_dim = int(self.condition_dim)
-        self._shapes = param_layout(self.layer_dims, self.activation,
-                                    self.time_conditioned, self.condition_dim)
-        size = sum(math.prod(shape) for shape in self._shapes)
+        self._slices, size = [], 0  # (start, stop, shape) per array of ``params``
+        for shape in param_layout(self.layer_dims, self.activation,
+                                  self.time_conditioned, self.condition_dim):
+            self._slices.append((size, size + math.prod(shape), shape))
+            size += math.prod(shape)
         if self.params is None:
             self.params = np.zeros(size)
         if (self.params.dtype not in (np.float64, COMPUTE_DTYPE)
@@ -94,12 +96,7 @@ class MlpModel:
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views into a vector in ``params`` layout, interleaved [W0, b0, ...]."""
-        views, offset = [], 0
-        for shape in self._shapes:
-            size = math.prod(shape)
-            views.append(flat[offset:offset + size].reshape(shape))
-            offset += size
-        return views
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._slices]
 
     def parameters(self) -> list[np.ndarray]:
         """Per-layer views into ``params``, interleaved [W0, b0, W1, b1, ...]."""
@@ -133,39 +130,48 @@ def working_copy(model: MlpModel) -> MlpModel:
 
 
 def _augment_input(model: MlpModel, x, t, s) -> np.ndarray:
-    dtype = model.params.dtype
-    x = np.asarray(x, dtype=dtype)
+    """x in the model's dtype, with the time and condition columns appended.
+
+    A 1-d s is one condition vector for every row. With extra columns the
+    result is one new array; without, x itself when it has the dtype.
+    """
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ShapeError(f"expected 2-d input, got shape {x.shape}")
-    if x.shape[1] != model.input_dim:
+    rows, dim = x.shape
+    if dim != model.input_dim:
         raise ShapeError(
-            f"input layer expects {model.input_dim} columns, got {x.shape[1]}"
+            f"input layer expects {model.input_dim} columns, got {dim}"
         )
-    cols = [x]
     if model.time_conditioned:
         if t is None:
             raise ShapeError("model is time-conditioned but t was not given")
-        t = np.asarray(t, dtype=dtype).reshape(-1)
-        if t.shape[0] != x.shape[0]:
-            raise ShapeError(f"t has {t.shape[0]} entries for {x.shape[0]} rows")
-        cols.append(t[:, None])
+        t = np.asarray(t).reshape(-1)
+        if t.shape[0] != rows:
+            raise ShapeError(f"t has {t.shape[0]} entries for {rows} rows")
     elif t is not None:
         raise ShapeError("t given but model is not time-conditioned")
     if model.condition_dim > 0:
         if s is None:
             raise ShapeError("model has condition input but s was not given")
-        s = np.asarray(s, dtype=dtype)
-        if s.ndim == 1:
-            s = np.broadcast_to(s, (x.shape[0], s.shape[0]))
-        if s.shape != (x.shape[0], model.condition_dim):
+        s = np.asarray(s)
+        shape = (rows, s.shape[0]) if s.ndim == 1 else s.shape
+        if shape != (rows, model.condition_dim):
             raise ShapeError(
-                f"condition input expects shape ({x.shape[0]}, {model.condition_dim}),"
-                f" got {s.shape}"
+                f"condition input expects shape ({rows}, {model.condition_dim}),"
+                f" got {shape}"
             )
-        cols.append(s)
     elif s is not None:
         raise ShapeError("s given but model has condition_dim 0")
-    return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+    if t is None and s is None:
+        return x.astype(model.params.dtype, copy=False)
+    out = np.empty((rows, model.weights[0].shape[0]), model.params.dtype)
+    out[:, :dim] = x
+    if t is not None:
+        out[:, dim] = t
+    if s is not None:
+        out[:, out.shape[1] - model.condition_dim:] = s
+    return out
 
 
 def _forward_cached(model: MlpModel, x, t=None, s=None):
@@ -225,9 +231,9 @@ def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None,
         if layer > 0:
             h = post[layer]  # activation of the layer below
             if model.activation == "relu":
-                g = g * (h > 0.0)
+                np.multiply(g, h > 0.0, out=g)
             else:
-                g = g * (1.0 - h ** 2)
+                g *= 1.0 - h ** 2
     return grad, g[:, : model.input_dim]
 
 

@@ -400,6 +400,25 @@ class TestTrainNot:
         assert trace_path.read_text().startswith("iteration,potential_loss")
         assert not model.exists()  # no half-written model
 
+    def test_non_finite_loss_exits_4_with_trace(self, tmp_path, capsys):
+        spec = self._dataset(tmp_path, capsys)
+        model = tmp_path / "p.otm"
+        cfg = tmp_path / "not.cfg"
+        cfg.write_text("command = train-not\nhidden_dims = 8\n"
+                       "total_outer_iterations = 10\nmap_lr = 1e30\n"
+                       "potential_lr = 1e30\ndivergence_guard = 1e30\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "otconvert", "train-not", "--config", str(cfg),
+             "--dataset-spec", str(spec), "--out-model", str(model)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4
+        trace_path = tmp_path / "p.otm.loss.csv"
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "became non-finite" in lines[0]
+        assert lines[0].endswith(f" (trace written to {trace_path})")
+        assert trace_path.read_text().startswith("iteration,potential_loss,map_loss\n")
+        assert not model.exists()
+
 
 class TestEval:
     def test_fd_of_identical_sets_is_zero(self, tmp_path, capsys):
@@ -595,7 +614,9 @@ def test_undecodable_input_exits_2_with_one_line(tmp_path, make_case):
     (b"c.vector = 1\nc.source = s.otf\nc.target = wide.otf\n", "c.target"),
     (b"c.vector = 1\nc.source = s.otf\nc.target = empty.otf\n", "c.target"),
     (b"c.vector = nan\nc.source = s.otf\nc.target = s.otf\n", "c.vector"),
-], ids=["unknown-key", "missing-source", "wide-target", "empty-target", "nan-vector"])
+    (b"c.vector = 1\nc.source = s.otf\nc.target = nothere.otf\n", "c.target"),
+], ids=["unknown-key", "missing-source", "wide-target", "empty-target", "nan-vector",
+        "absent-target-file"])
 def test_dataset_spec_key_error_exits_2_naming_file_and_key(tmp_path, body, key):
     make_frames(tmp_path / "s.otf", n=10, d=2, seed=19)
     make_frames(tmp_path / "wide.otf", n=10, d=3, seed=19)

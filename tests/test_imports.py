@@ -4,6 +4,13 @@ Every top-level import is used by the module that makes it, and every
 private top-level function, class and constant is referenced somewhere in
 the package outside its own definition, so no helper is kept alive by
 tests alone. Importing the package itself loads no numpy.
+
+scipy is imported only inside the functions that use it: the exact solver
+(``exact_ot``), the relaxation bound of a Sinkhorn solve still running
+after its plain warm-up, and the extremal potential's sigmoid. So
+``import otconvert.cli`` loads no scipy, nor does a ``knn`` or ``sinkvc``
+convert whose solve ends inside the warm-up. These checks run in
+subprocesses, because the test process has scipy loaded already.
 """
 
 import ast
@@ -77,5 +84,53 @@ def test_package_import_loads_no_numpy():
             "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
             "from otconvert import discrete\n"
             "assert discrete.sinkhorn and 'numpy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+_CONVERTS_WITHOUT_SCIPY = """
+import json, sys
+from otconvert import cli
+assert 'scipy' not in sys.modules, 'import otconvert.cli loaded scipy'
+import numpy as np
+from otconvert.fileio import write_feature_file
+out = sys.argv[1]
+rng = np.random.default_rng(0)
+write_feature_file(out + '/s.otf', rng.normal(size=(40, 8)))
+write_feature_file(out + '/r.otf', rng.normal(size=(120, 8)))
+for method in ('knn', 'sinkvc'):
+    assert cli.entry(['convert', '--method', method, '--source', out + '/s.otf',
+                      '--reference', out + '/r.otf', '--out', f'{out}/{method}.otf']) == 0
+    assert 'scipy' not in sys.modules, method + ' loaded scipy'
+with open(out + '/sinkvc.otf.report.json') as handle:
+    iterations = json.load(handle)['plan_stats']['iterations_used']
+assert iterations < 100, f'the solve ran past its warm-up ({iterations} iterations)'
+"""
+
+
+def test_cli_import_and_discrete_converts_load_no_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _CONVERTS_WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("call", [
+    "plan, _ = discrete.exact_ot(cost)\n"
+    "assert plan.marginal_error < 1e-12\n",
+    # 20 points at a sharp epsilon: the solve relaxes after its warm-up
+    "plan = discrete.sinkhorn(cost, cfg=discrete.SinkhornConfig(epsilon=0.005,"
+    " max_iterations=300))\n"
+    "assert plan.iterations_used > 100\n",
+], ids=["exact_ot", "relaxed_sinkhorn"])
+def test_scipy_solvers_load_it_on_first_use(call):
+    code = ("import sys, warnings\n"
+            "import numpy as np\n"
+            "from otconvert import discrete\n"
+            "warnings.simplefilter('ignore', discrete.ConvergenceWarning)\n"
+            "x, y = np.random.default_rng(2).normal(size=(2, 20, 2))\n"
+            "cost = discrete.cost_matrix(x, y)\n"
+            "assert 'scipy' not in sys.modules\n"
+            + call +
+            "assert 'scipy' in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
