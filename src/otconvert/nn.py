@@ -170,7 +170,7 @@ def _augment_input(model: MlpModel, x, t, s) -> np.ndarray:
     if t is not None:
         out[:, dim] = t
     if s is not None:
-        out[:, out.shape[1] - model.condition_dim:] = s
+        out[:, -model.condition_dim:] = s
     return out
 
 
