@@ -75,8 +75,8 @@ class MlpModel:
         self._slices, size = [], 0  # (start, stop, shape) per array of ``params``
         for shape in param_layout(self.layer_dims, self.activation,
                                   self.time_conditioned, self.condition_dim):
-            self._slices.append((size, size + math.prod(shape), shape))
-            size += math.prod(shape)
+            start, size = size, size + math.prod(shape)
+            self._slices.append((start, size, shape))
         if self.params is None:
             self.params = np.zeros(size)
         if (self.params.dtype not in (np.float64, COMPUTE_DTYPE)
