@@ -298,8 +298,8 @@ def _train_with_loss_csv(resolved: dict, train, header: str, rows_of):
 def cmd_train_fm(resolved: dict) -> int:
     source = _read_features(resolved["source"]).values
     reference = _read_features(resolved["reference"]).values
-    cost = cost_matrix(source, reference, resolved["cost"])
-    plan = sinkhorn(cost, cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS))
+    plan = sinkhorn(cost_matrix(source, reference, resolved["cost"]),
+                    cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS))
 
     def train():
         field = fm_train(plan_pair_sampler(plan, source, reference),

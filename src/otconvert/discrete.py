@@ -26,6 +26,9 @@ EXACT_SIZE_LIMIT = 64
 # rows of X processed per block when building cost matrices, to bound the
 # m*n*d intermediate
 _COST_BLOCK_ELEMS = 1 << 22
+# keys per block of rows in k_smallest_columns, whose temporaries are two
+# float64 blocks; 128 KiB ones stay in cache
+_TOP_K_BLOCK_ELEMS = 1 << 14
 
 # sinkhorn absorbs its scalings into the log potentials and rebuilds the
 # kernel once one leaves [1/_SCALING_BOUND, _SCALING_BOUND]. Kernel entries
@@ -122,7 +125,7 @@ class TransportPlan:
             raise ShapeError(
                 f"cost shape {values.shape} != plan shape {self.coupling.shape}"
             )
-        return float(np.sum(values * self.coupling))
+        return float(np.vdot(values, self.coupling))
 
 
 def _as_rows(x, name) -> np.ndarray:
@@ -165,7 +168,8 @@ def cost_matrix(x, y, kind: str = "squared_euclidean") -> CostMatrix:
                 )
         xu = x / np.linalg.norm(x, axis=1, keepdims=True)
         yu = y / np.linalg.norm(y, axis=1, keepdims=True)
-        values = 1.0 - np.clip(xu @ yu.T, -1.0, 1.0)
+        gram = xu @ yu.T
+        values = np.subtract(1.0, gram.clip(-1.0, 1.0, out=gram), out=gram)
     else:
         values = np.empty((m, n))
         block = max(1, _COST_BLOCK_ELEMS // max(1, n * x.shape[1]))
@@ -257,11 +261,14 @@ def _ascent_bound(omega) -> float:
     def gain(d):
         return omega * d - math.exp((omega - 1.0) * d) + math.exp(-d)
 
-    cap = math.log(_SCALING_BOUND)
-    if gain(cap) > 0.0:
-        return cap
-    from scipy.optimize import brentq
-    return brentq(gain, 1e-3, cap)
+    low, high = 1e-3, math.log(_SCALING_BOUND)
+    if gain(high) > 0.0:
+        return high
+    # bisect on gain(low) > 0 >= gain(high) down to adjacent floats; low
+    # stays below the root
+    while low < (mid := 0.5 * (low + high)) < high:
+        low, high = (mid, high) if gain(mid) > 0.0 else (low, mid)
+    return low
 
 
 def _relax_scaling(scaling, target, sums, omega, bound) -> bool:
@@ -308,6 +315,10 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     runs out first the plan is still returned and carries the achieved
     marginal_error, and a ConvergenceWarning says where it stopped.
 
+    Besides the cost it holds one m×n array, the kernel, which becomes the
+    plan: −C/ε is never kept but rewritten into it before each rebuild of K
+    and each logsumexp half step.
+
     Marginals default to uniform.
     """
     values = _cost_values(cost)
@@ -318,15 +329,20 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
 
     log_a = np.log(a)
     log_b = np.log(b)
-    scaled = -values / cfg.epsilon
+    kernel = np.empty(values.shape)
+
+    def scaled():
+        """−C/ε (bit for bit −values/ε) in the kernel buffer; K is rebuilt after."""
+        return np.divide(values, -cfg.epsilon, out=kernel)
+
     # the dual is (f + log u, g + log v) and its plan u_i K_ij v_j; after a
     # plain g update the column sums are exact, so convergence reduces to the
     # row-sum residual, and the product that measures it is the one the next
     # f update needs
     potentials = np.zeros(m + n)
     f, g = potentials[:m], potentials[m:]
-    np.subtract(log_a, logsumexp(scaled, axis=1), out=f)
-    kernel = _scaling_kernel(scaled, f, g)
+    np.subtract(log_a, logsumexp(scaled(), axis=1, overwrite_input=True), out=f)
+    _scaling_kernel(scaled(), f, g, out=kernel)
     scalings = np.ones(m + n)
     u, v = scalings[:m], scalings[m:]
     omega = 1.0
@@ -339,15 +355,17 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
                 np.divide(b, col, out=v)
             else:
                 _absorb(potentials, scalings)
-                np.subtract(log_b, logsumexp(scaled + f[:, None], axis=0), out=g)
-                _scaling_kernel(scaled, f, g, out=kernel)
+                np.subtract(log_b, logsumexp(np.add(scaled(), f[:, None], out=kernel),
+                                             axis=0, overwrite_input=True), out=g)
+                _scaling_kernel(scaled(), f, g, out=kernel)
         row = kernel @ v
         relaxed = step != 1.0 and _relax_scaling(u, a, row, step, bound)
         if relaxed or _within(row, _USABLE):
             log_row = None
         else:
             _absorb(potentials, scalings)
-            log_row = logsumexp(scaled + g[None, :], axis=1)
+            log_row = logsumexp(np.add(scaled(), g[None, :], out=kernel),
+                                axis=1, overwrite_input=True)
         if step == 1.0:
             row_mass = u * row if log_row is None else np.exp(f + log_row)
             error = np.abs(row_mass - a).max()
@@ -369,9 +387,9 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
             if _within(scalings, _KEPT):
                 continue
             _absorb(potentials, scalings)
-        _scaling_kernel(scaled, f, g, out=kernel)
+        _scaling_kernel(scaled(), f, g, out=kernel)
     _absorb(potentials, scalings)
-    plan = _gibbs_kernel(scaled, f, g, out=kernel)
+    plan = _gibbs_kernel(scaled(), f, g, out=kernel)
     row_err = np.abs(plan.sum(axis=1) - a).max()
     col_err = np.abs(plan.sum(axis=0) - b).max()
     marginal_error = float(max(row_err, col_err))
@@ -481,25 +499,31 @@ def plan_top_k_map(plan: TransportPlan, y, k: int):
     k = int(k)
     if k < 1 or k > n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    return y[k_smallest_columns(-coupling, k)].mean(axis=1)
+    return y[k_smallest_columns(coupling, k, negate=True)].mean(axis=1)
 
 
-def k_smallest_columns(keys, k: int) -> np.ndarray:
+def k_smallest_columns(keys, k: int, negate: bool = False) -> np.ndarray:
     """Column indices of the k smallest keys of each row, smallest first.
 
     Equal keys go to the lower column index, so the result equals
-    ``np.argsort(keys, axis=1, kind="stable")[:, :k]``. A partition finds
-    each row's k-th smallest key, and only the keys at or below it are
-    sorted.
+    ``np.argsort(keys, axis=1, kind="stable")[:, :k]``, of ``-keys`` with
+    negate. Blocks of rows of about _TOP_K_BLOCK_ELEMS keys bound the
+    temporaries; in each, a partition finds each row's k-th smallest key,
+    and only the keys at or below it are sorted.
     """
-    kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(keys <= kth[:, None])
-    # nonzero lists each row's candidates by ascending column, and lexsort
-    # is stable, so equal keys keep that order
-    order = np.lexsort((keys[rows, cols], rows))
-    counts = np.bincount(rows, minlength=keys.shape[0])
-    starts = np.cumsum(counts) - counts
-    return cols[order][starts[:, None] + np.arange(k)]
+    out = np.empty((keys.shape[0], k), dtype=np.intp)
+    block = max(1, _TOP_K_BLOCK_ELEMS // keys.shape[1])
+    for start in range(0, keys.shape[0], block):
+        part = -keys[start:start + block] if negate else keys[start:start + block]
+        kth = np.partition(part, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(part <= kth[:, None])
+        # nonzero lists each row's candidates by ascending column, and
+        # lexsort is stable, so equal keys keep that order
+        order = np.lexsort((part[rows, cols], rows))
+        counts = np.bincount(rows, minlength=part.shape[0])
+        starts = np.cumsum(counts) - counts
+        out[start:start + block] = cols[order][starts[:, None] + np.arange(k)]
+    return out
 
 
 def sample_index_pairs(plan: TransportPlan, count: int, rng: np.random.Generator):

@@ -181,9 +181,11 @@ def fm_pipeline(source, reference, sink_cfg: SinkhornConfig | None,
     sink_cfg = sink_cfg or SinkhornConfig()
     cost = cost_matrix(source, reference, cost_kind)
     plan = sinkhorn(cost, cfg=sink_cfg)
+    report = plan_report("fmvc", 0, plan, cost)
+    del cost  # training holds the plan and its sampling CDF, not the cost
     field = fm_train(plan_pair_sampler(plan, source, reference), flow_cfg, rng)
     converted = fm_apply(field, source, flow_cfg)
-    return field, converted, plan_report("fmvc", 0, plan, cost)
+    return field, converted, report
 
 
 def straight_path_deviation(field: VelocityField, x0, x1,

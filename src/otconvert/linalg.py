@@ -17,16 +17,19 @@ from .errors import DomainError
 PSD_EIG_FLOOR = -1e-10
 
 
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+def logsumexp(a: np.ndarray, axis: int, overwrite_input: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along axis; max-subtraction keeps 1e300-scale inputs finite.
 
-    Rows that are entirely -inf produce -inf, not NaN.
+    Rows that are entirely -inf produce -inf, not NaN. One temporary the
+    size of a holds exp(a − max); with overwrite_input a float64 input is
+    that scratch instead, and is left holding those values.
     """
     a = np.asarray(a, dtype=np.float64)
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
+    shifted = np.subtract(a, amax, out=a if overwrite_input else None)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
+        out = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)) + amax
     return np.squeeze(out, axis=axis)
 
 

@@ -1,5 +1,6 @@
 """Frame conversion: transport-weighted and plain nearest-neighbor averaging."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,6 +149,33 @@ class TestKnn:
             assert np.allclose(out[i], y[order].mean(axis=0), atol=1e-12)
             costs_seen.extend(cost.values[i, j] for j in order)
         assert np.isclose(report.mean_transport_cost, np.mean(costs_seen), atol=1e-12)
+
+
+class TestMemory:
+    """Peak traced allocation of a conversion, in m×n float64 arrays.
+
+    sinkvc holds the cost and the kernel that becomes the plan, and knn the
+    cost alone; the rest (the kernel's flush mask, the top-k blocks,
+    vectors) stays under a quarter of an array at this size.
+    """
+
+    @staticmethod
+    def _peak_arrays(convert, m=200, n=3000):
+        rng = make_rng(35)
+        source, reference = _frames(rng, m, 16), _frames(rng, n, 16)
+        tracemalloc.start()
+        try:
+            convert(source, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (m * n * 8)
+
+    def test_sinkvc_holds_two_arrays(self):
+        assert self._peak_arrays(sinkvc_convert) <= 2.25
+
+    def test_knn_holds_one_array(self):
+        assert self._peak_arrays(knn_convert) <= 1.25
 
 
 class TestValidation:

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from otconvert import discrete
@@ -382,6 +384,18 @@ def test_relaxed_update_inside_ascent_bound_raises_the_dual(omega):
     assert not discrete._relax_scaling(v.copy(), b, kernel.T @ u, omega, bound)
 
 
+def test_ascent_bound_matches_brentq_from_below():
+    cap = math.log(discrete._SCALING_BOUND)
+    for omega in np.linspace(1.0, discrete._OMEGA_MAX, 181)[1:]:
+        def gain(d):
+            return omega * d - math.exp((omega - 1.0) * d) + math.exp(-d)
+
+        want = cap if gain(cap) > 0.0 else brentq(gain, 1e-3, cap)
+        got = discrete._ascent_bound(omega)
+        assert abs(got - want) <= 1e-12, omega
+        assert gain(got) >= 0.0, omega
+
+
 def test_sinkhorn_does_not_relax_near_underflowing_targets(monkeypatch):
     # a target of 1e-195 leaves no room between _SUM_FLOOR and the products
     # a relaxed step could meet, so every step is plain
@@ -709,6 +723,17 @@ def test_k_smallest_columns_matches_stable_argsort(seed, m, n, levels, data):
     k = data.draw(st.integers(1, n))
     want = np.argsort(keys, axis=1, kind="stable")[:, :k]
     np.testing.assert_array_equal(k_smallest_columns(keys, k), want)
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_k_smallest_columns_across_many_blocks(negate, monkeypatch):
+    # 3 rows of 7 keys per block: 40 rows make 13 full blocks and a last
+    # one of a single row; few levels give ties at every cut
+    monkeypatch.setattr(discrete, "_TOP_K_BLOCK_ELEMS", 21)
+    keys = np.random.default_rng(5).integers(-2, 3, size=(40, 7)).astype(np.float64)
+    for k in (1, 3, 7):
+        want = np.argsort(-keys if negate else keys, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(k_smallest_columns(keys, k, negate=negate), want)
 
 
 def test_top_k_validates_k():

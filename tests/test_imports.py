@@ -6,11 +6,11 @@ the package outside its own definition, so no helper is kept alive by
 tests alone. Importing the package itself loads no numpy.
 
 scipy is imported only inside the functions that use it: the exact solver
-(``exact_ot``), the relaxation bound of a Sinkhorn solve still running
-after its plain warm-up, and the extremal potential's sigmoid. So
+(``exact_ot``) and the extremal potential's sigmoid. So
 ``import otconvert.cli`` loads no scipy, nor does a ``knn`` or ``sinkvc``
-convert whose solve ends inside the warm-up. These checks run in
-subprocesses, because the test process has scipy loaded already.
+convert, nor a Sinkhorn solve that relaxes after its plain warm-up, whose
+relaxation bound is found by bisection. These checks run in subprocesses,
+because the test process has scipy loaded already.
 """
 
 import ast
@@ -114,15 +114,16 @@ def test_cli_import_and_discrete_converts_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("call", [
-    "plan, _ = discrete.exact_ot(cost)\n"
-    "assert plan.marginal_error < 1e-12\n",
-    # 20 points at a sharp epsilon: the solve relaxes after its warm-up
-    "plan = discrete.sinkhorn(cost, cfg=discrete.SinkhornConfig(epsilon=0.005,"
-    " max_iterations=300))\n"
-    "assert plan.iterations_used > 100\n",
+@pytest.mark.parametrize("call, loads", [
+    ("plan, _ = discrete.exact_ot(cost)\n"
+     "assert plan.marginal_error < 1e-12\n", True),
+    # 20 points at a sharp epsilon: the solve relaxes after its warm-up, and
+    # its relaxation bound is bisected without scipy
+    ("plan = discrete.sinkhorn(cost, cfg=discrete.SinkhornConfig(epsilon=0.005,"
+     " max_iterations=300))\n"
+     "assert plan.iterations_used > 100\n", False),
 ], ids=["exact_ot", "relaxed_sinkhorn"])
-def test_scipy_solvers_load_it_on_first_use(call):
+def test_scipy_solvers_load_it_on_first_use(call, loads):
     code = ("import sys, warnings\n"
             "import numpy as np\n"
             "from otconvert import discrete\n"
@@ -131,6 +132,6 @@ def test_scipy_solvers_load_it_on_first_use(call):
             "cost = discrete.cost_matrix(x, y)\n"
             "assert 'scipy' not in sys.modules\n"
             + call +
-            "assert 'scipy' in sys.modules\n")
+            f"assert ('scipy' in sys.modules) is {loads}\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

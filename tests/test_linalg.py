@@ -52,6 +52,18 @@ def test_logsumexp_shift_invariance(values, shift):
     )
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_overwriting_its_input_is_bit_identical(axis):
+    a = np.random.default_rng(3).normal(scale=300.0, size=(40, 70))
+    a[3] = -np.inf
+    a[:, 5] = -np.inf
+    want = logsumexp(a, axis=axis)
+    scratch = a.copy()
+    got = logsumexp(scratch, axis=axis, overwrite_input=True)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(scratch, a)
+
+
 def test_symmetrize_fixes_roundoff_asymmetry():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 5))
