@@ -14,12 +14,12 @@ import os
 
 
 def _configure_threads():
-    # must happen before numpy first loads its BLAS
-    value = os.environ.get("OT_CONVERT_THREADS")
-    if value:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = value
+    # must happen before numpy first loads its BLAS; one thread unless asked,
+    # since the thread count can change training bytes
+    value = os.environ.get("OT_CONVERT_THREADS") or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = value
 
 
 _configure_threads()

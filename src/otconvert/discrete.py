@@ -23,9 +23,6 @@ COST_KINDS = ("squared_euclidean", "cosine_distance")
 
 EXACT_SIZE_LIMIT = 64
 
-# rows of X processed per block when building cost matrices, to bound the
-# m*n*d intermediate
-_COST_BLOCK_ELEMS = 1 << 22
 # keys per block of rows in k_smallest_columns, whose temporaries are two
 # float64 blocks; 128 KiB ones stay in cache
 _TOP_K_BLOCK_ELEMS = 1 << 14
@@ -96,10 +93,6 @@ class TransportPlan:
     iterations_used: int
     marginal_error: float
 
-    @property
-    def shape(self):
-        return self.coupling.shape
-
     @cached_property
     def sampling_cdf(self) -> np.ndarray:
         """Cumulative normalized coupling in row-major order, built once.
@@ -157,8 +150,8 @@ def cost_matrix(x, y, kind: str = "squared_euclidean") -> CostMatrix:
     y = _as_rows(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
-    m, n = x.shape[0], y.shape[0]
     if kind == "cosine_distance":
+        units = []
         for name, arr in (("x", x), ("y", y)):
             norms = np.linalg.norm(arr, axis=1)
             zero = np.flatnonzero(norms == 0.0)
@@ -166,17 +159,19 @@ def cost_matrix(x, y, kind: str = "squared_euclidean") -> CostMatrix:
                 raise DomainError(
                     f"cosine cost undefined: {name} row {zero[0]} has zero norm"
                 )
-        xu = x / np.linalg.norm(x, axis=1, keepdims=True)
-        yu = y / np.linalg.norm(y, axis=1, keepdims=True)
-        gram = xu @ yu.T
+            units.append(arr / norms[:, None])
+        gram = units[0] @ units[1].T
         values = np.subtract(1.0, gram.clip(-1.0, 1.0, out=gram), out=gram)
     else:
-        values = np.empty((m, n))
-        block = max(1, _COST_BLOCK_ELEMS // max(1, n * x.shape[1]))
-        for start in range(0, m, block):
-            stop = min(m, start + block)
-            diff = x[start:stop, None, :] - y[None, :, :]
-            values[start:stop] = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
+        # ½‖x−μ‖² + ½‖y−μ‖² − (x−μ)·(y−μ) for any μ: one GEMM, and μ = the mean
+        # of y centres both sets, which limits the cancellation; rounding can
+        # still leave an entry a hair below 0
+        mu = y.mean(axis=0)
+        xc, yc = x - mu, y - mu
+        values = xc @ yc.T
+        np.subtract(0.5 * np.einsum("ij,ij->i", xc, xc)[:, None], values, out=values)
+        values += 0.5 * np.einsum("ij,ij->i", yc, yc)
+        np.maximum(values, 0.0, out=values)
     return CostMatrix(values=values, kind=kind)
 
 
@@ -185,6 +180,9 @@ def uniform_marginal(n: int) -> np.ndarray:
 
 
 def _check_marginal(v, n, name) -> np.ndarray:
+    """v checked as a marginal on n points; None is the uniform one."""
+    if v is None:
+        return uniform_marginal(n)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (n,):
         raise ShapeError(f"{name} must have shape ({n},), got {v.shape}")
@@ -193,6 +191,15 @@ def _check_marginal(v, n, name) -> np.ndarray:
     if abs(v.sum() - 1.0) > 1e-9:
         raise ValidationError(f"{name} must sum to 1, got {v.sum()!r}")
     return v
+
+
+def _transport_plan(coupling, a, b, epsilon, iterations) -> TransportPlan:
+    """The plan of a coupling with marginals (a, b), and its marginal error."""
+    error = max(np.abs(coupling.sum(axis=1) - a).max(),
+                np.abs(coupling.sum(axis=0) - b).max())
+    return TransportPlan(coupling=coupling, row_marginal=a, col_marginal=b,
+                         epsilon=epsilon, iterations_used=iterations,
+                         marginal_error=float(error))
 
 
 def _cost_values(cost) -> np.ndarray:
@@ -323,8 +330,8 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     """
     values = _cost_values(cost)
     m, n = values.shape
-    a = uniform_marginal(m) if a is None else _check_marginal(a, m, "a")
-    b = uniform_marginal(n) if b is None else _check_marginal(b, n, "b")
+    a = _check_marginal(a, m, "a")
+    b = _check_marginal(b, n, "b")
     cfg = cfg or SinkhornConfig()
 
     log_a = np.log(a)
@@ -389,22 +396,13 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
             _absorb(potentials, scalings)
         _scaling_kernel(scaled(), f, g, out=kernel)
     _absorb(potentials, scalings)
-    plan = _gibbs_kernel(scaled(), f, g, out=kernel)
-    row_err = np.abs(plan.sum(axis=1) - a).max()
-    col_err = np.abs(plan.sum(axis=0) - b).max()
-    marginal_error = float(max(row_err, col_err))
-    if marginal_error >= cfg.tolerance:
+    plan = _transport_plan(_gibbs_kernel(scaled(), f, g, out=kernel), a, b,
+                           cfg.epsilon, iterations)
+    if plan.marginal_error >= cfg.tolerance:
         warnings.warn(f"Sinkhorn stopped after {iterations} iterations at marginal"
-                      f" error {marginal_error:.3g}, above the tolerance"
+                      f" error {plan.marginal_error:.3g}, above the tolerance"
                       f" {cfg.tolerance:g}", ConvergenceWarning, stacklevel=2)
-    return TransportPlan(
-        coupling=plan,
-        row_marginal=a,
-        col_marginal=b,
-        epsilon=cfg.epsilon,
-        iterations_used=iterations,
-        marginal_error=marginal_error,
-    )
+    return plan
 
 
 def exact_ot(cost, a=None, b=None):
@@ -423,8 +421,8 @@ def exact_ot(cost, a=None, b=None):
             f"exact solver is limited to {EXACT_SIZE_LIMIT}x{EXACT_SIZE_LIMIT},"
             f" got {m}x{n}"
         )
-    a = uniform_marginal(m) if a is None else _check_marginal(a, m, "a")
-    b = uniform_marginal(n) if b is None else _check_marginal(b, n, "b")
+    a = _check_marginal(a, m, "a")
+    b = _check_marginal(b, n, "b")
 
     if m == n and np.all(a == a[0]) and np.all(b == b[0]):
         rows, cols = linear_sum_assignment(values)
@@ -446,17 +444,8 @@ def exact_ot(cost, a=None, b=None):
         plan = np.maximum(res.x.reshape(m, n), 0.0)
         iterations = int(getattr(res, "nit", 0))
 
-    row_err = np.abs(plan.sum(axis=1) - a).max()
-    col_err = np.abs(plan.sum(axis=0) - b).max()
-    out = TransportPlan(
-        coupling=plan,
-        row_marginal=a,
-        col_marginal=b,
-        epsilon=0.0,
-        iterations_used=iterations,
-        marginal_error=float(max(row_err, col_err)),
-    )
-    return out, float(np.sum(values * plan))
+    out = _transport_plan(plan, a, b, 0.0, iterations)
+    return out, out.transport_cost(values)
 
 
 def project_to_marginals(coupling, a, b) -> np.ndarray:

@@ -30,6 +30,9 @@ from .nn import (
 
 ODE_METHODS = ("euler", "rk4")
 
+# fm_train diverges once a finite loss passes this multiple of the first one
+_BLOW_UP = 1e8
+
 
 @dataclass
 class FlowConfig:
@@ -78,7 +81,8 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
     float32 working copy. The per-iteration loss lands in
     training_loss_trace.
 
-    Raises DivergenceError naming the iteration if the loss goes non-finite.
+    Raises DivergenceError naming the iteration if the loss goes non-finite
+    or past _BLOW_UP times the first iteration's.
     """
     x0, x1 = pair_sampler(2, rng)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -111,6 +115,9 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
                     trace=trace,
                 )
             trace.append(loss)
+            if loss > _BLOW_UP * trace[0] > 0.0:
+                raise DivergenceError(f"training loss {loss:g} passed {_BLOW_UP:g} times"
+                                      f" the first at iteration {iteration}", trace=trace)
             grads, _ = mlp_backward(work, xt, t=t, upstream=2.0 * diff / cfg.batch_size,
                                     cache=cache)
             adam_step(opt, model.params, grads, work.params)

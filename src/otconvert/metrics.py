@@ -131,7 +131,7 @@ def w2_squared_empirical(x, y, mode: str | None = None,
     plan = sinkhorn(c, cfg=cfg)
     feasible = project_to_marginals(plan.coupling, plan.row_marginal,
                                     plan.col_marginal)
-    return float(np.sum(c.values * feasible))
+    return float(np.vdot(c.values, feasible))
 
 
 def frechet_distance(x, y) -> float:

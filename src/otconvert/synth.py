@@ -179,13 +179,6 @@ def conversion_clusters(n_source: int, n_reference: int, dim: int,
         t = _unit(t - (t @ directions[c]) * directions[c])
         shifted[c] = _unit(directions[c] + offset * t)
 
-    def draw(count, centers, labels_out):
-        frames = np.empty((count, dim))
-        for i in range(count):
-            c = labels_out[i]
-            frames[i] = centers[c] + angular_spread * rng.normal(size=dim)
-        return frames
-
     src_labels = np.arange(n_source) % n_clusters
     rng.shuffle(src_labels)
     if exact_proportions:
@@ -201,8 +194,8 @@ def conversion_clusters(n_source: int, n_reference: int, dim: int,
                 ref_labels[i] = ref_labels[i - 1]
             else:
                 ref_labels[i] = rng.integers(n_clusters)
-    source = draw(n_source, directions, src_labels)
-    reference = draw(n_reference, shifted, ref_labels)
+    source = directions[src_labels] + angular_spread * rng.normal(size=(n_source, dim))
+    reference = shifted[ref_labels] + angular_spread * rng.normal(size=(n_reference, dim))
     return SynthTask(
         name="conversion_clusters",
         source=source,

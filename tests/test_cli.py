@@ -303,6 +303,32 @@ class TestTrainFm:
         assert len(trace_path.read_text().splitlines()) == 2
         assert not model.exists()
 
+    def test_finite_blow_up_exits_4_with_one_line_and_trace(self, tmp_path, capsys):
+        # at this rate the loss stays finite but jumps from 16 to 5e50
+        data = tmp_path / "tc"
+        run_cli(capsys, "synth", "--task", "two_conditions", "--n", 200,
+                "--dim", 2, "--seed", 1, "--out-dir", data)
+        model = tmp_path / "fm.otm"
+        cfg = tmp_path / "fm.cfg"
+        cfg.write_text("command = train-fm\nfm_hidden_dims = 8\n"
+                       "fm_batch_size = 16\nfm_learning_rate = 1e12\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "otconvert", "train-fm", "--config", str(cfg),
+             "--source", str(data / "plus_source.otf"),
+             "--reference", str(data / "plus_target.otf"), "--out-model", str(model)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4
+        trace_path = tmp_path / "fm.otm.loss.csv"
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("training diverged: training loss ")
+        assert lines[0].endswith(" times the first at iteration 1"
+                                 f" (trace written to {trace_path})")
+        losses = [float(row.split(",")[1])
+                  for row in trace_path.read_text().splitlines()[1:]]
+        assert len(losses) == 2 and losses[1] > 1e8 * losses[0]
+        assert not model.exists()
+
     def test_wrong_command_config_exits_2(self, tmp_path, capsys):
         src = tmp_path / "s.otf"
         make_frames(src, n=10, d=2)
@@ -939,3 +965,35 @@ class TestConsoleScript:
              "--out-dir", str(data)],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+    def test_unset_thread_count_trains_like_one_thread(self, tmp_path):
+        """Unset OT_CONVERT_THREADS gives the bytes of OT_CONVERT_THREADS=1.
+
+        On a machine with two or more cores, multi-threaded BLAS sums the
+        stock-width GEMMs in another order, so a default of all cores would
+        change the losses and parameters.
+        """
+        import os
+        bare = {k: v for k, v in os.environ.items()
+                if k not in ("OT_CONVERT_THREADS", "OMP_NUM_THREADS",
+                             "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                             "NUMEXPR_NUM_THREADS")}
+        data = tmp_path / "d"
+        subprocess.run([sys.executable, "-m", "otconvert", "synth", "--task",
+                        "gauss_shift", "--n", "200", "--dim", "8", "--seed", "0",
+                        "--out-dir", str(data)], check=True, env=bare)
+        cfg = tmp_path / "fm.cfg"
+        cfg.write_text("command = train-fm\nfm_iterations = 3\n")
+        runs = []
+        for label, env in (("unset", bare), ("one", dict(bare, OT_CONVERT_THREADS="1"))):
+            model = tmp_path / f"{label}.otm"
+            proc = subprocess.run(
+                [sys.executable, "-m", "otconvert", "train-fm", "--config", str(cfg),
+                 "--source", str(data / "source.otf"),
+                 "--reference", str(data / "target.otf"), "--out-model", str(model)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            field, _ = read_velocity_field(model)
+            runs.append((field.model.params.tobytes(),
+                         (tmp_path / f"{label}.otm.loss.csv").read_bytes()))
+        assert runs[0] == runs[1]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,41 @@ def test_cost_rejects_bad_inputs():
         cost_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValidationError):
         cost_matrix(np.zeros((2, 3)), np.zeros((2, 3)), kind="manhattan")
+
+
+@pytest.mark.parametrize("x_shift, y_shift", [(0.0, 0.0), (1e4, 1e4), (0.0, 1e4)],
+                         ids=["random", "co-offset", "far-apart"])
+def test_squared_euclidean_cost_matches_difference_formula(x_shift, y_shift):
+    rng = make_rng(16, "root")
+    x = rng.normal(size=(40, 7)) + x_shift
+    y = rng.normal(size=(55, 7)) + y_shift
+    diff = x[:, None, :] - y[None, :, :]
+    want = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
+    got = cost_matrix(x, y, "squared_euclidean").values
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    assert got.min() >= 0.0
+
+
+def test_squared_euclidean_cost_of_a_copy_has_a_near_zero_diagonal():
+    rng = make_rng(17, "root")
+    x = rng.normal(size=(80, 16)) * 12.0  # row norms about 50
+    c = cost_matrix(x, x.copy(), "squared_euclidean").values
+    assert c.min() >= 0.0
+    assert np.abs(np.diag(c)).max() <= 1e-12 * c.max()
+
+
+def test_squared_euclidean_cost_holds_about_one_array():
+    """The cost is one GEMM written into the returned array; the centred
+    copies and row norms add a few per cent at d=4."""
+    rng = make_rng(18, "root")
+    x, y = rng.normal(size=(1000, 4)), rng.normal(size=(1000, 4))
+    tracemalloc.start()
+    try:
+        cost_matrix(x, y, "squared_euclidean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (1000 * 1000 * 8) <= 1.25
 
 
 # ---------------------------------------------------------------- sinkhorn
@@ -506,13 +542,13 @@ def _pinned_instance(seed, m, n, d, kind, shift, uneven=False):
 # absorptions. Recorded with OpenBLAS on x86-64; the same with 1 or 2 threads.
 _PINNED_PLANS = {
     "sq-0.01": ((12, 30, 40, 4, "squared_euclidean", 1.5), 0.01, 1234, 1234,
-                "0a2f6ac1423d16ecef9eef6b4e4694e7feb0b839dd1a3896bdeb02ae9e4c7ece"),
+                "9b1979c9109b0e90c53793bfc98344e741d1ad68969a9c989cd36b86fa9b0cc0"),
     "sq-1e-4": ((12, 30, 40, 4, "squared_euclidean", 1.5), 1e-4, 300, 300,
-                "b7d6fec4311583aae847790c9b7a00d6e86ad8f174e0dacaaa944d0ac65ebe88"),
+                "ba8d4d9059a10f2d36b3fe8a7dde8cee51572432a9a178952f77236d399620cd"),
     "cos-1e-3": ((15, 60, 80, 5, "cosine_distance", 1.0), 1e-3, 10_000, 1300,
                  "75ac6ac5679775a0ab30192cba34e8dc3f9456cd376b865776b220b0a5b5efc1"),
     "sq-uneven-0.01": ((18, 25, 35, 3, "squared_euclidean", 0.5, True), 0.01, 10_000, 500,
-                       "5379d6f56935e45e7745eb14c6e064b8ec2d06ed0bac581e23c955e500a39432"),
+                       "6f8c5eb455ed4c3bacd765aa060a9d61b43f83f7a312370fc8eb0ccaec6a95ec"),
 }
 
 

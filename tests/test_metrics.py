@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ def test_w2_sinkhorn_never_undercuts_exact():
         exact = w2_squared_empirical(x, y, mode="exact_small")
         est = w2_squared_empirical(x, y, mode="sinkhorn")
         assert est >= exact - 1e-9
+
+
+def test_w2_sinkhorn_holds_about_four_arrays():
+    """The cost, the plan, its projected copy and the projection's rank-one
+    correction: ⟨C, P⟩ itself builds no m×n temporary."""
+    rng = make_rng(26, "root")
+    x, y = rng.normal(size=(1000, 4)), rng.normal(size=(1000, 4))
+    tracemalloc.start()
+    try:
+        w2_squared_empirical(x, y, mode="sinkhorn", cfg=SinkhornConfig(epsilon=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (1000 * 1000 * 8) <= 4.25
 
 
 def test_w2_mode_selection_and_errors():
