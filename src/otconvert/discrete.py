@@ -29,13 +29,20 @@ _TOP_K_BLOCK_ELEMS = 1 << 14
 
 # sinkhorn absorbs its scalings into the log potentials and rebuilds the
 # kernel once one leaves [1/_SCALING_BOUND, _SCALING_BOUND]. Kernel entries
-# below _KERNEL_FLOOR are flushed to 0, so no product with a scaling is
-# subnormal; a kernel product below _SUM_FLOOR counts as underflowed and its
-# half step goes through logsumexp, so the flushed entries sit far below
-# the rounding error of every sum that is used.
+# below _SCALING_BOUND times the kernel dtype's smallest normal number are
+# flushed to 0, so no product with a scaling is subnormal; a kernel product
+# below _SUM_FLOOR counts as underflowed and its half step goes through
+# logsumexp, so the flushed entries sit far below the rounding error of
+# every sum that is used.
 _SCALING_BOUND = 1e10
-_KERNEL_FLOOR = np.finfo(np.float64).tiny * _SCALING_BOUND
 _SUM_FLOOR = 1e-200
+
+# sinkhorn iterates on a float32 kernel when the cost spans at most
+# _SINGLE_SPAN·ε, so every exp(−(C − row min)/ε) is a normal float32, and
+# cfg.tolerance is at least _SINGLE_ULPS float32 ulps of the largest
+# marginal entry, far above the rounding of a float32 plan's sums
+_SINGLE_SPAN = 40.0
+_SINGLE_ULPS = 1024
 
 # the length of sinkhorn's plain warm-up, and the spacing of the plain,
 # tested iterations among the relaxed ones after it
@@ -83,7 +90,9 @@ class TransportPlan:
     """A coupling between two discrete distributions.
 
     epsilon is the entropic regularization it was solved at (0 = exact).
-    marginal_error is the max L∞ deviation of the realized marginals.
+    marginal_error is the max L∞ deviation of the realized marginals, summed
+    in float64. coupling is float64, or float32 when sinkhorn solved it on a
+    float32 kernel.
     """
 
     coupling: np.ndarray
@@ -101,12 +110,14 @@ class TransportPlan:
         on it reproduces choice's draws; the coupling must not change after
         the first use.
         """
-        total = self.coupling.sum()
+        widened = self.coupling.astype(np.float64)
+        total = widened.sum()
         if not np.isfinite(total) or total <= 0:
             raise ValidationError("plan mass must be positive and finite")
-        if self.coupling.min() < 0:
+        if widened.min() < 0:
             raise ValidationError("plan has negative entries")
-        cdf = self.coupling.ravel() / total
+        cdf = widened.ravel()
+        cdf /= total
         np.cumsum(cdf, out=cdf)
         cdf /= cdf[-1]
         return cdf
@@ -118,7 +129,10 @@ class TransportPlan:
             raise ShapeError(
                 f"cost shape {values.shape} != plan shape {self.coupling.shape}"
             )
-        return float(np.vdot(values, self.coupling))
+        if values.dtype == self.coupling.dtype:
+            return float(np.vdot(values, self.coupling))
+        # a mixed-dtype vdot would widen the plan into an m×n copy
+        return float(np.einsum("ij,ij->", values, self.coupling))
 
 
 def _as_rows(x, name) -> np.ndarray:
@@ -195,8 +209,8 @@ def _check_marginal(v, n, name) -> np.ndarray:
 
 def _transport_plan(coupling, a, b, epsilon, iterations) -> TransportPlan:
     """The plan of a coupling with marginals (a, b), and its marginal error."""
-    error = max(np.abs(coupling.sum(axis=1) - a).max(),
-                np.abs(coupling.sum(axis=0) - b).max())
+    error = max(np.abs(coupling.sum(axis=1, dtype=np.float64) - a).max(),
+                np.abs(coupling.sum(axis=0, dtype=np.float64) - b).max())
     return TransportPlan(coupling=coupling, row_marginal=a, col_marginal=b,
                          epsilon=epsilon, iterations_used=iterations,
                          marginal_error=float(error))
@@ -212,19 +226,19 @@ def _cost_values(cost) -> np.ndarray:
 
 
 def _gibbs_kernel(scaled, f, g, out=None) -> np.ndarray:
-    """exp(scaled + f ⊕ g): the plan of the potentials (f, g)."""
-    out = np.add(scaled, f[:, None], out=out)
-    out += g[None, :]
+    """exp(scaled + f ⊕ g): the plan of the potentials (f, g), in scaled's dtype."""
+    out = np.add(scaled, f.astype(scaled.dtype, copy=False)[:, None], out=out)
+    out += g.astype(scaled.dtype, copy=False)[None, :]
     return np.exp(out, out=out)
 
 
 def _scaling_kernel(scaled, f, g, out=None) -> np.ndarray:
-    """The Gibbs kernel with entries below _KERNEL_FLOOR flushed to 0.
+    """The Gibbs kernel with entries below tiny·_SCALING_BOUND flushed to 0.
 
     Subnormal operands slow a matrix-vector product many times over.
     """
     out = _gibbs_kernel(scaled, f, g, out=out)
-    out[out < _KERNEL_FLOOR] = 0.0
+    out[out < np.finfo(out.dtype).tiny * _SCALING_BOUND] = 0.0
     return out
 
 
@@ -326,6 +340,11 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     plan: −C/ε is never kept but rewritten into it before each rebuild of K
     and each logsumexp half step.
 
+    A well-conditioned solve (see _SINGLE_SPAN) runs on a float32 kernel
+    that holds −(C − row min)/ε, its potentials shifted to match: the
+    products and the plan u·K·v are float32, the potentials, scalings and
+    marginal tests float64. Every other solve is float64 throughout.
+
     Marginals default to uniform.
     """
     values = _cost_values(cost)
@@ -336,11 +355,19 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
 
     log_a = np.log(a)
     log_b = np.log(b)
-    kernel = np.empty(values.shape)
+    low = values.min(axis=1)
+    single = (values.max() - low.min() <= _SINGLE_SPAN * cfg.epsilon
+              and cfg.tolerance >= _SINGLE_ULPS * np.finfo(np.float32).eps
+              * max(a.max(), b.max()))
+    kernel = np.empty(values.shape, np.float32 if single else np.float64)
 
     def scaled():
-        """−C/ε (bit for bit −values/ε) in the kernel buffer; K is rebuilt after."""
-        return np.divide(values, -cfg.epsilon, out=kernel)
+        """−C/ε (bit for bit −values/ε) in the kernel buffer, −(C − row min)/ε
+        in a float32 one; K is rebuilt after."""
+        if not single:
+            return np.divide(values, -cfg.epsilon, out=kernel)
+        np.subtract(low[:, None], values, out=kernel)
+        return np.divide(kernel, cfg.epsilon, out=kernel)
 
     # the dual is (f + log u, g + log v) and its plan u_i K_ij v_j; after a
     # plain g update the column sums are exact, so convergence reduces to the
@@ -348,15 +375,23 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     # f update needs
     potentials = np.zeros(m + n)
     f, g = potentials[:m], potentials[m:]
-    np.subtract(log_a, logsumexp(scaled(), axis=1, overwrite_input=True), out=f)
-    _scaling_kernel(scaled(), f, g, out=kernel)
+    if single:
+        # each row of exp(−(C − row min)/ε) lies in [e^−_SINGLE_SPAN, 1] and
+        # sums to at least 1; scaling it to mass a_i is the first f update
+        sums = np.exp(scaled(), out=kernel).sum(axis=1, dtype=np.float64)
+        np.subtract(log_a, np.log(sums), out=f)
+        kernel *= (a / sums).astype(np.float32)[:, None]
+    else:
+        np.subtract(log_a, logsumexp(scaled(), axis=1, overwrite_input=True), out=f)
+        _scaling_kernel(scaled(), f, g, out=kernel)
     scalings = np.ones(m + n)
     u, v = scalings[:m], scalings[m:]
     omega = 1.0
     for iterations in range(1, cfg.max_iterations + 1):
         step = 1.0 if (iterations % _WARMUP_ITERATIONS == 0
                        or iterations == cfg.max_iterations) else omega
-        col = kernel.T @ u
+        # a float64 scaling would widen a float32 kernel in the product
+        col = kernel.T @ u.astype(kernel.dtype, copy=False)
         if step == 1.0 or not _relax_scaling(v, b, col, step, bound):
             if _within(col, _USABLE):
                 np.divide(b, col, out=v)
@@ -365,7 +400,7 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
                 np.subtract(log_b, logsumexp(np.add(scaled(), f[:, None], out=kernel),
                                              axis=0, overwrite_input=True), out=g)
                 _scaling_kernel(scaled(), f, g, out=kernel)
-        row = kernel @ v
+        row = kernel @ v.astype(kernel.dtype, copy=False)
         relaxed = step != 1.0 and _relax_scaling(u, a, row, step, bound)
         if relaxed or _within(row, _USABLE):
             log_row = None
@@ -395,9 +430,14 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
                 continue
             _absorb(potentials, scalings)
         _scaling_kernel(scaled(), f, g, out=kernel)
-    _absorb(potentials, scalings)
-    plan = _transport_plan(_gibbs_kernel(scaled(), f, g, out=kernel), a, b,
-                           cfg.epsilon, iterations)
+    if single and log_row is None:
+        # the buffer holds K, so u·K·v is the plan
+        kernel *= u.astype(np.float32)[:, None]
+        kernel *= v.astype(np.float32)
+    else:
+        _absorb(potentials, scalings)
+        _gibbs_kernel(scaled(), f, g, out=kernel)
+    plan = _transport_plan(kernel, a, b, cfg.epsilon, iterations)
     if plan.marginal_error >= cfg.tolerance:
         warnings.warn(f"Sinkhorn stopped after {iterations} iterations at marginal"
                       f" error {plan.marginal_error:.3g}, above the tolerance"
@@ -448,7 +488,7 @@ def exact_ot(cost, a=None, b=None):
     return out, out.transport_cost(values)
 
 
-def project_to_marginals(coupling, a, b) -> np.ndarray:
+def project_to_marginals(coupling, a, b, overwrite_input=False) -> np.ndarray:
     """Repair a nearly feasible coupling so its marginals are exactly (a, b).
 
     Overfull rows, then overfull columns, are scaled down; the leftover
@@ -457,9 +497,10 @@ def project_to_marginals(coupling, a, b) -> np.ndarray:
     within max|C| times that violation of the original. Turns a
     tolerance-limited Sinkhorn plan into a certified member of the
     transportation polytope, whose cost therefore cannot undercut the exact
-    optimum.
+    optimum. The result is float64; with overwrite_input a float64 coupling
+    is repaired in its own buffer, which is returned.
     """
-    p = np.asarray(coupling, dtype=np.float64).copy()
+    p = (np.asarray if overwrite_input else np.array)(coupling, dtype=np.float64)
     row = p.sum(axis=1)
     np.multiply(p, np.minimum(1.0, np.divide(a, row, out=np.ones_like(a),
                                              where=row > 0))[:, None], out=p)

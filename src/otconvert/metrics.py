@@ -130,7 +130,7 @@ def w2_squared_empirical(x, y, mode: str | None = None,
     cfg = cfg or SinkhornConfig(epsilon=0.01)
     plan = sinkhorn(c, cfg=cfg)
     feasible = project_to_marginals(plan.coupling, plan.row_marginal,
-                                    plan.col_marginal)
+                                    plan.col_marginal, overwrite_input=True)
     return float(np.vdot(c.values, feasible))
 
 

@@ -279,10 +279,14 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     if params.shape != m.shape or grads.shape != m.shape:
         raise ShapeError(f"params {params.shape} and grads {grads.shape} do not"
                          f" match the optimizer state {m.shape}")
-    finite = np.isfinite(grads)
-    if not finite.all():
-        raise NumericalError(f"non-finite gradient at flat index {np.argmin(finite)}")
     np.copyto(t2, grads)
+    # a float64 sum of float32 values cannot overflow, so it is non-finite
+    # only past a non-finite entry; a float64 gradient's sum can, so the
+    # scan decides
+    if not np.isfinite(t2.sum()):
+        bad = np.flatnonzero(~np.isfinite(t2))
+        if bad.size:
+            raise NumericalError(f"non-finite gradient at flat index {bad[0]}")
     grads = t2  # t2 is free until the second moment is read below
     b1, b2 = state.betas
     state.step += 1

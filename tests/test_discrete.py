@@ -20,12 +20,13 @@ from otconvert.discrete import (
     exact_ot,
     k_smallest_columns,
     plan_top_k_map,
+    project_to_marginals,
     sample_index_pairs,
     sample_pairs_from_plan,
     sinkhorn,
     uniform_marginal,
 )
-from otconvert.errors import CapacityError, DomainError, ValidationError
+from otconvert.errors import CapacityError, ConvergenceWarning, DomainError, ValidationError
 from otconvert.rng import make_rng
 
 from _helpers import round_to_feasible
@@ -171,12 +172,100 @@ def test_sinkhorn_within_one_percent_of_exact():
         assert got >= best - 1e-9
 
 
+def _assert_budget_run_out(c, cfg):
+    """The plan of a solve that runs out its budget reports its coupling's
+    own float64-summed marginal deviation, and warns."""
+    with pytest.warns(ConvergenceWarning, match="above the tolerance"):
+        plan = sinkhorn(c, cfg=cfg)
+    assert plan.iterations_used == cfg.max_iterations
+    widened = plan.coupling.astype(np.float64)
+    deviation = max(np.abs(widened.sum(axis=1) - plan.row_marginal).max(),
+                    np.abs(widened.sum(axis=0) - plan.col_marginal).max())
+    assert plan.marginal_error == pytest.approx(deviation, rel=1e-12)
+    assert plan.marginal_error >= cfg.tolerance
+    return plan
+
+
 def test_sinkhorn_reports_marginal_error_on_budget_exhaustion():
     rng = make_rng(6, "root")
     c = rng.uniform(size=(10, 10))
-    plan = sinkhorn(c, cfg=SinkhornConfig(epsilon=0.005, max_iterations=3))
-    assert plan.iterations_used == 3
-    assert plan.marginal_error >= 0.0
+    plan = _assert_budget_run_out(c, SinkhornConfig(epsilon=0.005, max_iterations=3))
+    assert plan.coupling.dtype == np.float64
+
+
+def test_sinkhorn_on_a_float32_kernel_reports_marginal_error_on_budget_exhaustion():
+    rng = make_rng(6, "root")
+    c = cost_matrix(rng.normal(size=(30, 4)), rng.normal(size=(40, 4)), "cosine_distance")
+    cfg = SinkhornConfig(epsilon=0.1, max_iterations=2, tolerance=1e-4)
+    plan = _assert_budget_run_out(c, cfg)
+    assert plan.coupling.dtype == np.float32
+
+
+def _gated_instance(span, m=32, n=64):
+    """A cost spanning exactly span with uniform marginals whose largest
+    entry is 1/32, so the float32 gate's tolerance reach is 2^-18."""
+    c = make_rng(41, "root").uniform(0.25, 0.75, size=(m, n)) * span
+    c[0, 0], c[1, 1] = 0.0, span
+    return c
+
+
+@pytest.mark.parametrize("span, tolerance, single", [
+    (5.0, 2.0 ** -18, True),
+    (np.nextafter(5.0, np.inf), 2.0 ** -18, False),
+    (5.0, np.nextafter(2.0 ** -18, 0.0), False),
+], ids=["at-both-edges", "span-above", "tolerance-below"])
+def test_sinkhorn_kernel_precision_gate(span, tolerance, single):
+    """ε = 1/8, so the widest span on a float32 kernel is 40ε = 5."""
+    assert discrete._SINGLE_SPAN * 0.125 == 5.0
+    assert discrete._SINGLE_ULPS * np.finfo(np.float32).eps / 32 == 2.0 ** -18
+    cfg = SinkhornConfig(epsilon=0.125, tolerance=tolerance)
+    plan = sinkhorn(_gated_instance(span), cfg=cfg)
+    assert plan.coupling.dtype == (np.float32 if single else np.float64)
+    assert plan.marginal_error < cfg.tolerance
+
+
+@pytest.mark.parametrize("fallback", ["logsumexp", "absorb"])
+def test_float32_kernel_through_its_fallbacks_tracks_the_float64_path(fallback,
+                                                                      monkeypatch):
+    """Every half step through logsumexp, or an absorption and a kernel
+    rebuild after every iteration: the float32 solve keeps the float64
+    solve's iterations and plan."""
+    rng = make_rng(43, "root")
+    c = cost_matrix(rng.normal(size=(150, 6)), rng.normal(size=(200, 6)),
+                    "cosine_distance")
+    cfg = SinkhornConfig(epsilon=0.05, tolerance=1e-5)
+    counts = _count_kernel_builds_and_logsumexps(monkeypatch)
+    if fallback == "logsumexp":
+        monkeypatch.setattr(discrete, "_USABLE", (np.inf, np.inf))
+        monkeypatch.setattr(discrete, "_relax_scaling", lambda *args: False)
+    else:
+        monkeypatch.setattr(discrete, "_KEPT", (1.0, 1.0))
+    single = sinkhorn(c, cfg=cfg)
+    fallbacks = counts["logsumexp" if fallback == "logsumexp" else "kernel"]
+    assert fallbacks >= single.iterations_used - 1
+    monkeypatch.setattr(discrete, "_SINGLE_SPAN", 0.0)
+    double = sinkhorn(c, cfg=cfg)
+    assert single.coupling.dtype == np.float32
+    assert single.iterations_used == double.iterations_used
+    assert single.marginal_error < cfg.tolerance
+    gap = np.abs(single.coupling - double.coupling).max()
+    assert gap <= 1e-5 * double.coupling.max()
+
+
+def test_transport_cost_of_a_float32_plan_builds_no_plan_sized_array():
+    rng = make_rng(42, "root")
+    c = cost_matrix(rng.normal(size=(600, 8)), rng.normal(size=(800, 8)), "cosine_distance")
+    plan = sinkhorn(c)
+    assert plan.coupling.dtype == np.float32
+    tracemalloc.start()
+    try:
+        got = plan.transport_cost(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * plan.coupling.nbytes
+    assert got == pytest.approx(np.vdot(c.values, plan.coupling.astype(np.float64)),
+                                rel=1e-12)
 
 
 def test_sinkhorn_total_mass_is_one():
@@ -623,6 +712,42 @@ def test_over_relaxation_keeps_every_plain_solve(family):
             assert plan.iterations_used <= -(-plain[index] // warmup) * warmup, index
 
 
+# ----------------------------------------------------------- projection
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_project_to_marginals_is_feasible_and_moves_no_more_than_the_violation(seed):
+    rng = make_rng(seed + 50, "root")
+    m, n = (int(k) for k in rng.integers(5, 60, size=2))
+    a = rng.uniform(0.5, 1.5, size=m)
+    b = rng.uniform(0.5, 1.5, size=n)
+    a, b = a / a.sum(), b / b.sum()
+    # up to ±5% per entry leaves rows and columns both over- and under-full
+    coupling = np.outer(a, b) * rng.uniform(0.95, 1.05, size=(m, n))
+    rows, cols = coupling.sum(axis=1), coupling.sum(axis=0)
+    assert (rows > a).any() and (rows < a).any()
+    assert (cols > b).any() and (cols < b).any()
+    # rows and columns scaled down by at most their excess, then the rank-one
+    # fill: at most the summed L1 violation of both marginals, plus the gap
+    # in total mass
+    violation = (np.abs(rows - a).sum() + np.abs(cols - b).sum()
+                 + abs(coupling.sum() - 1.0))
+    for given in (coupling, coupling.astype(np.float32)):
+        before = given.copy()
+        p = project_to_marginals(given, a, b)
+        assert p.dtype == np.float64
+        assert np.array_equal(given, before)
+        assert np.abs(p.sum(axis=1) - a).max() <= 1e-15
+        assert np.abs(p.sum(axis=0) - b).max() <= 1e-15
+        assert p.min() >= 0.0
+        assert np.abs(p - given).sum() <= violation + 1e-12
+    in_place = project_to_marginals(before, a, b, overwrite_input=True)
+    assert np.array_equal(in_place, project_to_marginals(before.astype(np.float64), a, b))
+    own = coupling.copy()
+    assert project_to_marginals(own, a, b, overwrite_input=True) is own
+    assert np.array_equal(own, project_to_marginals(coupling, a, b))
+
+
 # ---------------------------------------------------------------- exact
 
 
@@ -818,6 +943,19 @@ def test_sampling_is_seed_deterministic():
     a2 = sample_index_pairs(_plan_from(coupling), 64, make_rng(5, "pairs"))
     np.testing.assert_array_equal(a1[0], a2[0])
     np.testing.assert_array_equal(a1[1], a2[1])
+
+
+def test_sampling_a_float32_plan_draws_from_its_widened_coupling():
+    coupling = (make_rng(3, "root").uniform(size=(40, 50)) ** 4).astype(np.float32)
+    coupling /= coupling.sum()
+    widened = coupling.astype(np.float64)
+    plan = TransportPlan(coupling, widened.sum(axis=1), widened.sum(axis=0),
+                         0.1, 1, 0.0)
+    assert plan.sampling_cdf.dtype == np.float64
+    rng, ref = make_rng(3, "pairs"), make_rng(3, "pairs")
+    i_idx, j_idx = sample_index_pairs(plan, 1000, rng)
+    want = ref.choice(widened.size, size=1000, p=widened.ravel() / widened.sum())
+    np.testing.assert_array_equal(i_idx * 50 + j_idx, want)
 
 
 @pytest.mark.parametrize("seed", [0, 7])

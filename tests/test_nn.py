@@ -253,6 +253,33 @@ def test_adam_rejects_non_finite_gradient_with_index():
     np.testing.assert_array_equal(params, np.zeros(5))
 
 
+def test_adam_accepts_finite_float32_gradients_whose_float32_sum_overflows():
+    params = np.zeros(4)
+    state = adam_init(params, 0.01)
+    grads = np.array([3e38, 3e38, -1.0, 2.0], dtype=np.float32)
+    with np.errstate(over="ignore"):
+        assert np.isinf(grads.sum())
+    adam_step(state, params, grads)
+    assert state.step == 1
+    assert np.all(np.isfinite(params)) and np.all(params != 0.0)
+
+
+@pytest.mark.parametrize("index", [0, 6, 9])
+def test_adam_rejects_a_float32_nan_naming_its_index_and_changes_nothing(index):
+    params = make_rng(4).normal(size=10)
+    state = adam_init(params, 0.01, weight_decay=0.1)
+    adam_step(state, params, np.ones(10, dtype=np.float32))
+    before = params.copy(), [buf.copy() for buf in state.buffers[:2]]
+    bad = np.ones(10, dtype=np.float32)
+    bad[index] = np.nan
+    with pytest.raises(NumericalError, match=f"flat index {index}$"):
+        adam_step(state, params, bad)
+    assert state.step == 1
+    np.testing.assert_array_equal(params, before[0])
+    for buf, kept in zip(state.buffers[:2], before[1]):
+        np.testing.assert_array_equal(buf, kept)
+
+
 def test_adam_widens_float32_gradients_and_refreshes_the_working_copy():
     model = init_mlp((3, 5, 2), make_rng(0, "init"), condition_dim=1)
     work = working_copy(model)
