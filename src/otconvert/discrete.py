@@ -44,11 +44,15 @@ _SUM_FLOOR = 1e-200
 _SINGLE_SPAN = 40.0
 _SINGLE_ULPS = 1024
 
-# the length of sinkhorn's plain warm-up, and the spacing of the plain,
-# tested iterations among the relaxed ones after it
+# the length of sinkhorn's plain warm-up; the residual's rate over its last
+# _TEST_SPACING iterations sets the first ω
 _WARMUP_ITERATIONS = 100
-# the largest ω sinkhorn relaxes with
-_OMEGA_MAX = 1.9
+# the spacing of sinkhorn's plain, tested iterations; after the warm-up the
+# residual's rate over each block between two of them re-estimates ω
+_TEST_SPACING = 50
+# the largest ω sinkhorn relaxes with; past the optimal ω relaxed Sinkhorn
+# contracts by ω−1 per iteration, so an ω at the cap still converges
+_OMEGA_MAX = 1.95
 
 
 @dataclass
@@ -321,18 +325,22 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     The first _WARMUP_ITERATIONS iterations are plain (exact) updates, the
     iterates of the log-domain iteration up to rounding: after a g update the
     column sums match b exactly, and convergence is declared when the row
-    sums also match a within cfg.tolerance. The residual's rate r over the
-    warm-up's second half then sets ω = min(2/(1+√(1−r)), _OMEGA_MAX), and
-    the updates become v ← v·(b/(v∘Kᵀu))^ω and u ← u·(a/(u∘Kv))^ω, still one
-    product per half step. A half step relaxes only while every ratio
-    b/(v∘Kᵀu) or a/(u∘Kv) lies in the band where the relaxed update raises
-    the dual objective in every entry (_ascent_bound); otherwise it is
-    plain. So the dual objective never falls, even where the warm-up has not
-    reached its asymptotic rate (a stalled residual reads r near 1) and ω
-    overshoots; a logsumexp half step is always plain. A relaxed update
-    overshoots, so neither marginal of its plan is exact; instead every
-    _WARMUP_ITERATIONS-th iteration and the last one stay plain and are
-    tested as above, which checks both marginals. If the iteration budget
+    sums also match a within cfg.tolerance. After it the updates become
+    v ← v·(b/(v∘Kᵀu))^ω and u ← u·(a/(u∘Kv))^ω, still one product per half
+    step, with ω = min(2/(1+√(1−r)), _OMEGA_MAX) for the plain iterations'
+    residual rate r. A relaxed update overshoots, so neither marginal of its
+    plan is exact; instead every _TEST_SPACING-th iteration and the last one
+    stay plain and are tested as above, which checks both marginals. From
+    the warm-up's end on, each test re-estimates r from the residual's rate
+    ρ per iteration since the last one: r = ρ over the plain warm-up, and
+    after a block relaxed by ω, r = (ρ+ω−1)²/(ω²ρ) for ω−1 < ρ < 1, the
+    local rate of relaxed Sinkhorn solved for r; ω is only ever raised. A
+    half step relaxes only while every ratio b/(v∘Kᵀu) or a/(u∘Kv) lies in
+    the band where the relaxed update raises the dual objective in every
+    entry (_ascent_bound); otherwise it is plain, and its block re-estimates
+    nothing. So the dual objective never falls, even where the warm-up has
+    not reached its asymptotic rate (a stalled residual reads r near 1) and
+    ω overshoots; a logsumexp half step is always plain. If the iteration budget
     runs out first the plan is still returned and carries the achieved
     marginal_error, and a ConvergenceWarning says where it stopped.
 
@@ -386,13 +394,15 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
         _scaling_kernel(scaled(), f, g, out=kernel)
     scalings = np.ones(m + n)
     u, v = scalings[:m], scalings[m:]
-    omega = 1.0
+    omega, refused = 1.0, False
     for iterations in range(1, cfg.max_iterations + 1):
-        step = 1.0 if (iterations % _WARMUP_ITERATIONS == 0
-                       or iterations == cfg.max_iterations) else omega
+        tested = iterations % _TEST_SPACING == 0
+        step = 1.0 if tested or iterations == cfg.max_iterations else omega
+        relax = step != 1.0
         # a float64 scaling would widen a float32 kernel in the product
         col = kernel.T @ u.astype(kernel.dtype, copy=False)
-        if step == 1.0 or not _relax_scaling(v, b, col, step, bound):
+        if not (relax and _relax_scaling(v, b, col, step, bound)):
+            refused |= relax
             if _within(col, _USABLE):
                 np.divide(b, col, out=v)
             else:
@@ -401,7 +411,8 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
                                              axis=0, overwrite_input=True), out=g)
                 _scaling_kernel(scaled(), f, g, out=kernel)
         row = kernel @ v.astype(kernel.dtype, copy=False)
-        relaxed = step != 1.0 and _relax_scaling(u, a, row, step, bound)
+        relaxed = relax and _relax_scaling(u, a, row, step, bound)
+        refused |= relax and not relaxed
         if relaxed or _within(row, _USABLE):
             log_row = None
         else:
@@ -413,14 +424,23 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
             error = np.abs(row_mass - a).max()
             if error < cfg.tolerance:
                 break
-            if iterations == _WARMUP_ITERATIONS // 2:
-                halfway = error
-            elif iterations == _WARMUP_ITERATIONS:
-                omega = _over_relaxation((error / halfway) ** (2.0 / _WARMUP_ITERATIONS))
-                # a product whose ratio lies within ±bound is then at least
-                # target·e^−bound/_SCALING_BOUND ≥ _SUM_FLOOR, and finite
-                bound = min(_ascent_bound(omega), math.log(
-                    min(a.min(), b.min()) / (_SUM_FLOOR * _SCALING_BOUND)))
+            if tested and iterations >= _WARMUP_ITERATIONS and not refused:
+                # the block's contraction ρ under ω implies the plain rate
+                # r = (ρ+ω−1)²/(ω²ρ), in a form that gives ρ to the bit at
+                # ω = 1; a block in which the band refused a relaxed step did
+                # not run at ω
+                rho = (error / previous) ** (1.0 / _TEST_SPACING)
+                if omega - 1.0 < rho < 1.0:
+                    raised = _over_relaxation(rho * ((rho + (omega - 1.0)) / (omega * rho)) ** 2)
+                    if raised > omega:
+                        omega = raised
+                        # a product whose ratio lies within ±bound is then at
+                        # least target·e^−bound/_SCALING_BOUND ≥ _SUM_FLOOR,
+                        # and finite
+                        bound = min(_ascent_bound(omega), math.log(
+                            min(a.min(), b.min()) / (_SUM_FLOOR * _SCALING_BOUND)))
+            if tested:
+                previous, refused = error, False
         if log_row is not None:
             np.subtract(log_a, log_row, out=f)
         else:

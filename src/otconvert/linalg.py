@@ -1,6 +1,6 @@
 """Dense matrix helpers beyond what numpy ships directly.
 
-Everything here is float64 and pure. Generic primitives (matmul,
+Everything here is pure and returns float64. Generic primitives (matmul,
 transpose, reductions, elementwise ops, cholesky, eigh) are deliberately
 left to numpy itself; this module adds the overflow-safe log-sum-exp and
 the PSD matrix square root that the metric and solver code lean on.
@@ -21,15 +21,20 @@ def logsumexp(a: np.ndarray, axis: int, overwrite_input: bool = False) -> np.nda
     """log(sum(exp(a))) along axis; max-subtraction keeps 1e300-scale inputs finite.
 
     Rows that are entirely -inf produce -inf, not NaN. One temporary the
-    size of a holds exp(a − max); with overwrite_input a float64 input is
-    that scratch instead, and is left holding those values.
+    size of a holds exp(a − max); with overwrite_input a float64 or float32
+    input is that scratch instead, and is left holding those values. The
+    sums are float64 either way.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
+    if not (overwrite_input and a.dtype == np.float32):
+        a = a.astype(np.float64, copy=False)
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
     shifted = np.subtract(a, amax, out=a if overwrite_input else None)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)) + amax
+        sums = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True,
+                      dtype=np.float64)
+        out = np.log(sums) + amax
     return np.squeeze(out, axis=axis)
 
 

@@ -64,6 +64,21 @@ def test_logsumexp_overwriting_its_input_is_bit_identical(axis):
     assert not np.array_equal(scratch, a)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_overwriting_a_float32_input_sums_in_float64(axis):
+    a = np.random.default_rng(4).normal(scale=30.0, size=(50, 400)).astype(np.float32)
+    a[3] = -np.inf
+    a[:, 5] = -np.inf
+    want = logsumexp(a, axis=axis)
+    got = logsumexp(a, axis=axis, overwrite_input=True)
+    assert got.dtype == want.dtype == np.float64
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite) and not finite.all()
+    np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-6)
+    # the input held exp(a − max) in its own buffer: 1 at each maximum
+    assert a.dtype == np.float32 and a.max() == 1.0
+
+
 def test_symmetrize_fixes_roundoff_asymmetry():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 5))

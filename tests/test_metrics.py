@@ -237,6 +237,22 @@ def test_theorem1_holds_on_random_gaussian_pairs():
         assert fd <= two_w2 + 1e-8
 
 
+def test_frechet_equals_twice_exact_w2_under_a_monotone_affine_map():
+    """Y = X·A + c with A symmetric positive definite is the gradient of a
+    convex function, so matching row i to row i is optimal, and the ddof-0
+    fits hold the empirical second moments exactly: the Gaussian formula
+    then gives the empirical cost, and FD <= 2·W2² is an equality."""
+    rng = make_rng(28, "root")
+    n, d = 40, 3
+    x = rng.normal(size=(n, d))
+    root = rng.normal(size=(d, d))
+    y = x @ (root @ root.T + 0.5 * np.eye(d)) + rng.normal(size=d)
+    two_w2 = 2.0 * w2_squared_empirical(x, y, mode="exact_small")
+    assert two_w2 == pytest.approx(np.mean(np.sum((x - y) ** 2, axis=1)), rel=1e-12)
+    assert frechet_distance(x, y) == pytest.approx(two_w2, rel=1e-12)
+    assert theorem1_check(x, y, mode="exact_small").holds
+
+
 def test_theorem1_holds_on_bimodal_vs_unimodal():
     rng = make_rng(50, "root")
     half = rng.normal(scale=0.3, size=(100, 2))
