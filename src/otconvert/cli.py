@@ -232,10 +232,19 @@ def _read_features(path: str, key: str = "") -> FeatureData:
     return data
 
 
+def _read_pair(resolved: dict, first: str, second: str) -> tuple[FeatureData, FeatureData]:
+    """The feature files named by two keys; widths that differ are an error naming both."""
+    one, two = _read_features(resolved[first]), _read_features(resolved[second])
+    if one.values.shape[1] != two.values.shape[1]:
+        raise ValidationError(
+            f"'{first}' ({resolved[first]}) has {one.values.shape[1]} features per row,"
+            f" '{second}' ({resolved[second]}) has {two.values.shape[1]}")
+    return one, two
+
+
 def cmd_convert(resolved: dict) -> int:
-    source = _read_features(resolved["source"])
-    src = source.values
-    ref = _read_features(resolved["reference"]).values
+    source, reference = _read_pair(resolved, "source", "reference")
+    src, ref = source.values, reference.values
     method = resolved["method"]
     if method != "fmvc" and resolved["cost"] != "cosine_distance":
         raise ValidationError(f"--cost applies only to --method fmvc; {method}"
@@ -296,8 +305,7 @@ def _train_with_loss_csv(resolved: dict, train, header: str, rows_of):
 
 
 def cmd_train_fm(resolved: dict) -> int:
-    source = _read_features(resolved["source"]).values
-    reference = _read_features(resolved["reference"]).values
+    source, reference = (data.values for data in _read_pair(resolved, "source", "reference"))
     plan = sinkhorn(cost_matrix(source, reference, resolved["cost"]),
                     cfg=_config_of(SinkhornConfig, resolved, _SINKHORN_FIELDS))
 
@@ -392,8 +400,7 @@ def cmd_train_not(resolved: dict) -> int:
 
 
 def cmd_eval(resolved: dict) -> int:
-    a = _read_features(resolved["a"]).values
-    b = _read_features(resolved["b"]).values
+    a, b = (data.values for data in _read_pair(resolved, "a", "b"))
     wanted = [part.strip() for part in resolved["metrics"].split(",") if part.strip()]
     allowed = ("w2", "fd", "theorem1")
     for name in wanted:

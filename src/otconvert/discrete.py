@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (CapacityError, ConvergenceWarning, DomainError, NumericalError,
-                     SettingError, ShapeError, ValidationError, reject_non_finite)
+from .errors import (CapacityError, ConvergenceWarning, DomainError, SettingError,
+                     ShapeError, ValidationError, reject_non_finite)
 from .linalg import logsumexp
 
 COST_KINDS = ("squared_euclidean", "cosine_distance")
@@ -465,46 +465,27 @@ def sinkhorn(cost, a=None, b=None, cfg: SinkhornConfig | None = None) -> Transpo
     return plan
 
 
-def exact_ot(cost, a=None, b=None):
-    """Exact (unregularized) optimal transport on a small instance.
+def exact_ot(cost):
+    """Exact (unregularized) optimal transport between two equal uniform point sets.
 
-    Returns (TransportPlan, optimal_cost). Instances are capped at
-    64 x 64. Equal uniform marginals on a square instance reduce to an
-    assignment problem; anything else is solved as the transportation LP.
+    Returns (TransportPlan, optimal_cost). The cost must be n x n with n up
+    to EXACT_SIZE_LIMIT; any other shape raises CapacityError. With equal
+    uniform marginals an optimal plan is a permutation (Birkhoff–von
+    Neumann), so the transportation LP reduces to the assignment problem.
     """
-    from scipy.optimize import linear_sum_assignment, linprog
+    from scipy.optimize import linear_sum_assignment
 
     values = _cost_values(cost)
     m, n = values.shape
-    if m > EXACT_SIZE_LIMIT or n > EXACT_SIZE_LIMIT:
+    if m != n or n > EXACT_SIZE_LIMIT:
         raise CapacityError(
-            f"exact solver is limited to {EXACT_SIZE_LIMIT}x{EXACT_SIZE_LIMIT},"
-            f" got {m}x{n}"
+            f"exact solver needs a square cost of at most {EXACT_SIZE_LIMIT}x"
+            f"{EXACT_SIZE_LIMIT}, got {m}x{n}"
         )
-    a = _check_marginal(a, m, "a")
-    b = _check_marginal(b, n, "b")
-
-    if m == n and np.all(a == a[0]) and np.all(b == b[0]):
-        rows, cols = linear_sum_assignment(values)
-        plan = np.zeros((m, n))
-        plan[rows, cols] = 1.0 / m
-        iterations = 0
-    else:
-        # transportation LP; the last column constraint is implied by the rest
-        a_eq = np.zeros((m + n - 1, m * n))
-        for i in range(m):
-            a_eq[i, i * n : (i + 1) * n] = 1.0
-        for j in range(n - 1):
-            a_eq[m + j, j::n] = 1.0
-        b_eq = np.concatenate([a, b[:-1]])
-        res = linprog(values.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs")
-        if not res.success:
-            raise NumericalError(f"transportation LP failed: {res.message}")
-        plan = np.maximum(res.x.reshape(m, n), 0.0)
-        iterations = int(getattr(res, "nit", 0))
-
-    out = _transport_plan(plan, a, b, 0.0, iterations)
+    rows, cols = linear_sum_assignment(values)
+    plan = np.zeros((n, n))
+    plan[rows, cols] = 1.0 / n
+    out = _transport_plan(plan, uniform_marginal(n), uniform_marginal(n), 0.0, 0)
     return out, out.transport_cost(values)
 
 

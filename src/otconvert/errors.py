@@ -30,7 +30,7 @@ class DomainError(ValidationError):
 
 
 class CapacityError(ValidationError):
-    """Problem size exceeds a documented solver limit."""
+    """Problem size or shape outside a documented solver limit."""
 
 
 class NumericalError(RuntimeError):

@@ -107,12 +107,13 @@ def w2_squared_empirical(x, y, mode: str | None = None,
                          cfg: SinkhornConfig | None = None) -> float:
     """Squared Wasserstein-2 between two sample sets under the ½ cost.
 
-    mode "exact_small" solves the assignment problem (requires equal sizes
-    up to 64, uniform weights). mode "sinkhorn" reports the transport cost
-    of an entropic plan at epsilon 0.01 after projecting it onto exact
-    marginals; the value carries an upward entropic bias and never
-    undercuts the exact optimum, and a plan that stops above its tolerance
-    issues a ConvergenceWarning. Default picks exact_small when it applies.
+    mode "exact_small" solves the assignment problem, so it needs equal
+    sample counts up to EXACT_SIZE_LIMIT (exact_ot raises CapacityError
+    otherwise). mode "sinkhorn" reports the transport cost of an entropic
+    plan at epsilon 0.01 after projecting it onto exact marginals; the value
+    carries an upward entropic bias and never undercuts the exact optimum,
+    and a plan that stops above its tolerance issues a ConvergenceWarning.
+    Default picks exact_small when it applies.
     """
     if mode not in (None, *W2_MODES):
         raise ValidationError(f"mode must be one of {W2_MODES}, got {mode!r}")
@@ -121,10 +122,6 @@ def w2_squared_empirical(x, y, mode: str | None = None,
     if mode is None:
         mode = "exact_small" if m == n <= EXACT_SIZE_LIMIT else "sinkhorn"
     if mode == "exact_small":
-        if m != n:
-            raise ValidationError(
-                f"exact_small needs equal sample counts, got {m} vs {n}"
-            )
         _, value = exact_ot(c)
         return value
     cfg = cfg or SinkhornConfig(epsilon=0.01)

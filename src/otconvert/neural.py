@@ -170,9 +170,9 @@ def _potential_with_grads(pair, y, s, upstream_f, params=True):
     """
     u, cache = _forward_cached(pair.potential_model, y, s=s)
     if pair.nonpositivity_transform:
-        from scipy.special import expit
         f = -np.logaddexp(0.0, u[:, 0])
-        up_u = (upstream_f * -expit(u[:, 0]))[:, None]
+        # df/du = -sigmoid(u) = e^f - 1 for f = -softplus(u); expm1 never overflows
+        up_u = (upstream_f * np.expm1(f))[:, None]
     else:
         f = u[:, 0]
         up_u = upstream_f[:, None]

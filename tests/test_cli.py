@@ -492,6 +492,19 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "64" in lines[0] and "--w2-mode sinkhorn" in lines[0]
 
+    def test_exact_mode_on_unequal_counts_suggests_sinkhorn(self, tmp_path, capsys):
+        a = tmp_path / "a.otf"
+        b = tmp_path / "b.otf"
+        make_frames(a, n=20, d=3, seed=13)
+        make_frames(b, n=7, d=3, seed=14)
+        code, stdout, err = run_cli(capsys, "eval", "--a", a, "--b", b,
+                                    "--metrics", "w2", "--w2-mode", "exact_small")
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "20x7" in lines[0] and "--w2-mode sinkhorn" in lines[0]
+
     def test_unknown_metric_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.otf"
         make_frames(a, n=10, d=2, seed=15)
@@ -509,6 +522,25 @@ class TestEval:
         assert code == 0
         assert json.loads(report.read_text()) == json.loads(stdout)
         assert (tmp_path / "metrics.json.run.cfg").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("eval", ("--a", "--b", "--report")),
+    ("convert", ("--source", "--reference", "--out")),
+    ("train-fm", ("--source", "--reference", "--out-model")),
+], ids=["eval", "convert", "train-fm"])
+def test_feature_widths_that_differ_name_both_files(tmp_path, capsys, command, flags):
+    first, second = tmp_path / "a3.otf", tmp_path / "b4.otf"
+    make_frames(first, n=20, d=3, seed=17)
+    make_frames(second, n=20, d=4, seed=18)
+    code, stdout, err = run_cli(capsys, command, flags[0], first, flags[1], second,
+                                flags[2], tmp_path / "out")
+    assert code == 2
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"({first}) has 3" in lines[0] and f"({second}) has 4" in lines[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a3.otf", "b4.otf"]
 
 
 class TestEvalComputesOnce:

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
 
 from otconvert import discrete
 from otconvert.discrete import (
     COST_KINDS,
-    CostMatrix,
     SinkhornConfig,
     TransportPlan,
     cost_matrix,
@@ -845,29 +844,41 @@ def test_exact_ot_matches_brute_force_permutations():
     assert cost == pytest.approx(best, rel=1e-12)
 
 
+def _transportation_lp(c, a, b):
+    """Oracle: the exact plan and cost of the transportation LP, by HiGHS."""
+    m, n = c.shape
+    # row sums, then all column sums but the last, which the others imply
+    a_eq = np.zeros((m + n - 1, m * n))
+    for i in range(m):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n - 1):
+        a_eq[m + j, j::n] = 1.0
+    res = linprog(c.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b[:-1]]),
+                  bounds=(0, None), method="highs")
+    assert res.success, res.message
+    plan = np.maximum(res.x.reshape(m, n), 0.0)
+    return plan, float(np.vdot(plan, c))
+
+
 def test_exact_ot_lp_path_matches_assignment_on_uniform_square():
     rng = make_rng(13, "root")
     c = rng.uniform(size=(5, 5))
     _, cost_fast = exact_ot(c)
-    # force the LP path with an explicitly non-equal marginal that is
-    # numerically uniform after normalization tricks would defeat the check,
-    # so instead solve a rectangular instance against its brute-force value
     c2 = rng.uniform(size=(2, 3))
     a = np.array([0.4, 0.6])
     b = np.array([0.3, 0.3, 0.4])
-    plan, cost_lp = exact_ot(c2, a, b)
-    assert plan.marginal_error < 1e-9
+    plan, cost_lp = _transportation_lp(c2, a, b)
+    assert max(np.abs(plan.sum(axis=1) - a).max(), np.abs(plan.sum(axis=0) - b).max()) < 1e-9
     # LP lower-bounds every feasible coupling, including entropic ones
     for eps in (0.5, 0.05):
         ent = sinkhorn(c2, a, b, SinkhornConfig(epsilon=eps, max_iterations=100_000))
         assert cost_lp <= ent.transport_cost(c2) + 1e-9
-    # and the uniform-square fast path agrees with the LP on the same instance
-    plan_lp, cost_lp_sq = exact_ot(
-        CostMatrix(values=c, kind="squared_euclidean"),
-        uniform_marginal(5) + 0.0,
-        uniform_marginal(5) + 0.0,
-    )
+    # the assignment agrees with the LP on the uniform square instance
+    _, cost_lp_sq = _transportation_lp(c, uniform_marginal(5), uniform_marginal(5))
     assert cost_lp_sq == pytest.approx(cost_fast, rel=1e-9)
+    # and the exact solver takes only square instances
+    with pytest.raises(CapacityError):
+        exact_ot(c2)
 
 
 def test_exact_ot_size_cap():

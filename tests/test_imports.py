@@ -5,12 +5,13 @@ private top-level function, class and constant is referenced somewhere in
 the package outside its own definition, so no helper is kept alive by
 tests alone. Importing the package itself loads no numpy.
 
-scipy is imported only inside the functions that use it: the exact solver
-(``exact_ot``) and the extremal potential's sigmoid. So
-``import otconvert.cli`` loads no scipy, nor does a ``knn`` or ``sinkvc``
-convert, nor a Sinkhorn solve that relaxes after its plain warm-up, whose
-relaxation bound is found by bisection. These checks run in subprocesses,
-because the test process has scipy loaded already.
+scipy has one import in the package: ``linear_sum_assignment``, inside the
+exact solver ``exact_ot``. So ``import otconvert.cli`` loads no scipy, nor
+does a ``knn`` or ``sinkvc`` convert, nor a Sinkhorn solve that relaxes
+after its plain warm-up, whose relaxation bound is found by bisection, nor
+the extremal NOT losses, whose sigmoid is numpy's ``expm1``. The runtime
+checks run in subprocesses, because the test process has scipy loaded
+already.
 """
 
 import ast
@@ -88,6 +89,24 @@ def test_package_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _scipy_imports(node, function=None):
+    """(enclosing function, module, names) of each scipy import under node, at any depth."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((function, alias.name, ()) for alias in child.names
+                        if alias.name.split(".")[0] == "scipy")
+        elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "scipy":
+            yield function, child.module, tuple(alias.name for alias in child.names)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scipy_imports(child, child.name if named else function)
+
+
+def test_scipy_is_imported_only_for_exact_ots_assignment():
+    sites = [(path.name, *site) for path in MODULES
+             for site in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == [("discrete.py", "exact_ot", "scipy.optimize", ("linear_sum_assignment",))]
+
+
 _CONVERTS_WITHOUT_SCIPY = """
 import json, sys
 from otconvert import cli
@@ -122,7 +141,17 @@ def test_cli_import_and_discrete_converts_load_no_scipy(tmp_path):
     ("plan = discrete.sinkhorn(cost, cfg=discrete.SinkhornConfig(epsilon=0.005,"
      " max_iterations=300))\n"
      "assert plan.iterations_used > 100\n", False),
-], ids=["exact_ot", "relaxed_sinkhorn"])
+    # the extremal potential's sigmoid is e^f - 1, from its own value f
+    ("from otconvert.neural import NotConfig, NotModelPair, not_loss_map,"
+     " not_loss_potential\n"
+     "from otconvert.nn import init_mlp\n"
+     "rng = np.random.default_rng(3)\n"
+     "pair = NotModelPair(init_mlp((2, 8, 2), rng), init_mlp((2, 8, 1), rng), True)\n"
+     "cfg = NotConfig(extremal=True)\n"
+     "for loss, grads in (not_loss_potential(pair, x, y, None, cfg),"
+     " not_loss_map(pair, x, None, cfg)):\n"
+     "    assert np.isfinite(loss) and np.isfinite(grads).all()\n", False),
+], ids=["exact_ot", "relaxed_sinkhorn", "extremal_not_losses"])
 def test_scipy_solvers_load_it_on_first_use(call, loads):
     code = ("import sys, warnings\n"
             "import numpy as np\n"
