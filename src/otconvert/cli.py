@@ -233,12 +233,19 @@ def _read_features(path: str, key: str = "") -> FeatureData:
 
 
 def _read_pair(resolved: dict, first: str, second: str) -> tuple[FeatureData, FeatureData]:
-    """The feature files named by two keys; widths that differ are an error naming both."""
+    """The feature files named by two keys; widths that differ are an error naming
+    both, and under the cosine cost so is a zero-norm row, naming its file."""
     one, two = _read_features(resolved[first]), _read_features(resolved[second])
     if one.values.shape[1] != two.values.shape[1]:
         raise ValidationError(
             f"'{first}' ({resolved[first]}) has {one.values.shape[1]} features per row,"
             f" '{second}' ({resolved[second]}) has {two.values.shape[1]}")
+    if resolved.get("cost") == "cosine_distance":
+        for key, data in ((first, one), (second, two)):
+            zero = np.flatnonzero(np.einsum("ij,ij->i", data.values, data.values) == 0.0)
+            if zero.size:
+                raise ValidationError(f"'{key}' ({resolved[key]}): row {zero[0]} has"
+                                      " zero norm, so its cosine cost is undefined")
     return one, two
 
 

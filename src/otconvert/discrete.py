@@ -23,9 +23,13 @@ COST_KINDS = ("squared_euclidean", "cosine_distance")
 
 EXACT_SIZE_LIMIT = 64
 
-# keys per block of rows in k_smallest_columns, whose temporaries are two
-# float64 blocks; 128 KiB ones stay in cache
+# keys per block of rows in k_smallest_columns, whose temporaries are a copy
+# of the block or two; 128 KiB ones stay in cache
 _TOP_K_BLOCK_ELEMS = 1 << 14
+# the largest k that k_smallest_columns finds by k argmin passes over a block;
+# each pass costs O(n) per row, and past about 16–24 (float64 to float32 rows
+# of 4,000 keys) a partition and a sort of its candidates is faster
+_TOP_K_PASSES = 16
 
 # sinkhorn absorbs its scalings into the log potentials and rebuilds the
 # kernel once one leaves [1/_SCALING_BOUND, _SCALING_BOUND]. Kernel entries
@@ -536,25 +540,55 @@ def plan_top_k_map(plan: TransportPlan, y, k: int):
 def k_smallest_columns(keys, k: int, negate: bool = False) -> np.ndarray:
     """Column indices of the k smallest keys of each row, smallest first.
 
-    Equal keys go to the lower column index, so the result equals
-    ``np.argsort(keys, axis=1, kind="stable")[:, :k]``, of ``-keys`` with
-    negate. Blocks of rows of about _TOP_K_BLOCK_ELEMS keys bound the
-    temporaries; in each, a partition finds each row's k-th smallest key,
-    and only the keys at or below it are sorted.
+    Equal keys go to the lower column index, and −0.0 equals 0.0, so the
+    result equals ``np.argsort(keys, axis=1, kind="stable")[:, :k]``, of
+    ``-keys`` with negate. keys is a float array, left unchanged. Blocks of
+    rows of about _TOP_K_BLOCK_ELEMS keys bound the temporaries. Up to
+    k = _TOP_K_PASSES a block takes k argmin passes over its copy; a block
+    whose passes reach a key not below +inf, and every block at larger k, is
+    partitioned at each row's k-th smallest key, and only the keys at or
+    below it are sorted. A NaN key raises ValidationError naming its row.
     """
-    out = np.empty((keys.shape[0], k), dtype=np.intp)
-    block = max(1, _TOP_K_BLOCK_ELEMS // keys.shape[1])
-    for start in range(0, keys.shape[0], block):
-        part = -keys[start:start + block] if negate else keys[start:start + block]
+    m, n = keys.shape
+    out = np.empty((m, k), dtype=np.intp)
+    block = max(1, _TOP_K_BLOCK_ELEMS // n)
+    for start in range(0, m, block):
+        rows = keys[start:start + block]
+        if k <= _TOP_K_PASSES and _top_k_by_passes(rows, k, negate, out[start:start + block]):
+            continue
+        part = -rows if negate else rows
+        nan = np.flatnonzero(np.isnan(part).any(axis=1))
+        if nan.size:
+            raise ValidationError(f"top-k keys row {start + nan[0]} holds NaN")
         kth = np.partition(part, k - 1, axis=1)[:, k - 1]
-        rows, cols = np.nonzero(part <= kth[:, None])
+        at, cols = np.nonzero(part <= kth[:, None])
         # nonzero lists each row's candidates by ascending column, and
         # lexsort is stable, so equal keys keep that order
-        order = np.lexsort((part[rows, cols], rows))
-        counts = np.bincount(rows, minlength=part.shape[0])
+        order = np.lexsort((part[at, cols], at))
+        counts = np.bincount(at, minlength=part.shape[0])
         starts = np.cumsum(counts) - counts
         out[start:start + block] = cols[order][starts[:, None] + np.arange(k)]
     return out
+
+
+def _top_k_by_passes(rows, k, negate, out) -> bool:
+    """k argmin passes over a copy of rows into out, each writing +inf over
+    the key it picked; argmin returns the first of equal keys, so ties go to
+    the lower column. False if a pass picked a key not below +inf (or NaN),
+    which leaves out to be filled again.
+    """
+    # C order, so flat is a view of part
+    part = np.negative(rows, order="C") if negate else rows.copy(order="C")
+    flat = part.reshape(-1)
+    offsets = np.arange(0, flat.size, part.shape[1])
+    picked = np.empty((part.shape[0], k), dtype=part.dtype)
+    for j in range(k):
+        at = part.argmin(axis=1)
+        out[:, j] = at
+        at += offsets
+        picked[:, j] = flat[at]
+        flat[at] = np.inf
+    return bool((picked < np.inf).all())
 
 
 def sample_index_pairs(plan: TransportPlan, count: int, rng: np.random.Generator):

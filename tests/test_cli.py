@@ -543,6 +543,32 @@ def test_feature_widths_that_differ_name_both_files(tmp_path, capsys, command, f
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a3.otf", "b4.otf"]
 
 
+@pytest.mark.parametrize("side", ["source", "reference"])
+@pytest.mark.parametrize("command", [
+    ("convert", "--method", "sinkvc"),
+    ("convert", "--method", "knn"),
+    ("convert", "--method", "fmvc"),
+    ("train-fm",),
+], ids=["sinkvc", "knn", "fmvc", "train-fm"])
+def test_zero_norm_row_names_its_file(tmp_path, capsys, command, side):
+    paths = {"source": tmp_path / "src.otf", "reference": tmp_path / "ref.otf"}
+    make_frames(paths["source"], n=12, d=3, seed=21)
+    make_frames(paths["reference"], n=15, d=3, seed=22)
+    values = read_feature_file(paths[side]).values.copy()
+    values[1] = 0.0
+    write_feature_file(paths[side], values, tag="test-frames")
+    out_flag = "--out" if command[0] == "convert" else "--out-model"
+    code, stdout, err = run_cli(capsys, *command, "--source", paths["source"],
+                                "--reference", paths["reference"],
+                                out_flag, tmp_path / "out")
+    assert code == 2
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"'{side}' ({paths[side]}): row 1 has zero norm" in lines[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ref.otf", "src.otf"]
+
+
 class TestEvalComputesOnce:
     def test_one_solve_and_one_fit_per_eval(self, tmp_path, capsys,
                                             monkeypatch):

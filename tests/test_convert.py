@@ -176,6 +176,22 @@ class TestFloat32Kernel:
         assert np.array_equal(frames, want)
 
 
+def test_frames_are_means_of_the_stable_argsort_top_four():
+    # benchmark-like size: a float32 plan's top-k and the cosine cost's
+    # bottom-k give the frames bit for bit
+    task = conversion_clusters(200, 3000, 16, make_rng(37), n_clusters=8,
+                               angular_spread=0.2)
+    cost = cost_matrix(task.source, task.target, "cosine_distance")
+    plan = sinkhorn(cost)
+    assert plan.coupling.dtype == np.float32
+    top = np.argsort(-plan.coupling, axis=1, kind="stable")[:, :4]
+    nearest = np.argsort(cost.values, axis=1, kind="stable")[:, :4]
+    sinkvc_frames, _ = sinkvc_convert(task.source, task.target)
+    knn_frames, _ = knn_convert(task.source, task.target)
+    assert np.array_equal(sinkvc_frames, task.target[top].mean(axis=1))
+    assert np.array_equal(knn_frames, task.target[nearest].mean(axis=1))
+
+
 class TestMemory:
     """Peak traced allocation of a conversion, in m×n float64 arrays.
 

@@ -975,6 +975,55 @@ def test_k_smallest_columns_across_many_blocks(negate, monkeypatch):
         np.testing.assert_array_equal(k_smallest_columns(keys, k, negate=negate), want)
 
 
+# keys that tie (−0.0 with 0.0 included) and sit at both infinities
+_TOP_K_KEY_POOL = (-np.inf, -1.5, -0.0, 0.0, 0.25, 1.5, np.inf)
+
+
+@pytest.mark.parametrize("side", ["passes", "partition"])
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 12),
+       dtype=st.sampled_from(["float32", "float64"]), negate=st.booleans(),
+       fortran=st.booleans(), data=st.data())
+def test_k_smallest_columns_is_the_stable_argsort_prefix(side, seed, m, dtype, negate,
+                                                         fortran, data):
+    limit = discrete._TOP_K_PASSES
+    n = data.draw(st.integers(1, 40) if side == "passes" else st.integers(limit + 1, 40))
+    k = data.draw(st.integers(1, min(n, limit)) if side == "passes"
+                  else st.integers(limit + 1, n))
+    levels = sorted(data.draw(st.sets(st.integers(0, len(_TOP_K_KEY_POOL) - 1), min_size=1)))
+    rng = np.random.default_rng(seed)
+    keys = np.asarray(_TOP_K_KEY_POOL, dtype=dtype)[rng.choice(levels, size=(m, n))]
+    if fortran:
+        keys = np.asfortranarray(keys)
+    keys.flags.writeable = False
+    before = keys.copy()
+    want = np.argsort(-keys if negate else keys, axis=1, kind="stable")[:, :k]
+    # from one row per block to every row in one block
+    block_elems = data.draw(st.integers(1, m * n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discrete, "_TOP_K_BLOCK_ELEMS", block_elems)
+        got = k_smallest_columns(keys, k, negate=negate)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(keys, before)
+    assert np.array_equal(np.signbit(keys), np.signbit(before))
+
+
+@pytest.mark.parametrize("k", [2, discrete._TOP_K_PASSES + 4], ids=["passes", "partition"])
+@pytest.mark.parametrize("negate", [False, True])
+def test_k_smallest_columns_nan_key_names_its_row(k, negate, monkeypatch):
+    # 2 rows of 30 keys per block, so row 7 sits in the fourth block
+    monkeypatch.setattr(discrete, "_TOP_K_BLOCK_ELEMS", 60)
+    keys = np.random.default_rng(8).random((10, 30))
+    keys[7, 29] = np.nan
+    with pytest.raises(ValidationError, match="row 7 holds NaN"):
+        k_smallest_columns(keys, k, negate=negate)
+    keys[7, 29] = 0.5
+    keys[3, 0] = np.nan
+    keys[3, 1:] = np.inf
+    with pytest.raises(ValidationError, match="row 3 holds NaN"):
+        k_smallest_columns(keys.astype(np.float32), k, negate=negate)
+
+
 def test_top_k_validates_k():
     plan = _plan_from(np.ones((2, 3)) / 6)
     y = np.zeros((3, 2))
