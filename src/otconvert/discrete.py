@@ -595,11 +595,16 @@ def sample_index_pairs(plan: TransportPlan, count: int, rng: np.random.Generator
     """Draw i.i.d. index pairs (i, j) with probability coupling[i, j].
 
     Draws are those of ``rng.choice(m * n, count, p=coupling / mass)``, from
-    the plan's cached CDF.
+    the plan's cached CDF. The uniforms are searched in sorted order, which
+    walks the CDF once instead of jumping across it, and each result is
+    scattered back to its uniform's place, so the draws are unchanged.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    drawn = plan.sampling_cdf.searchsorted(rng.random(int(count)), side="right")
+    uniforms = rng.random(int(count))
+    order = np.argsort(uniforms)
+    drawn = np.empty(order.size, np.intp)
+    drawn[order] = plan.sampling_cdf.searchsorted(uniforms[order], side="right")
     return np.unravel_index(drawn, plan.coupling.shape)
 
 

@@ -326,7 +326,8 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
         with np.errstate(all="ignore"):
             try:
                 loss_f, pot_grads = not_loss_potential(work, x, y, spec.vector, cfg)
-                adam_step(pot_opt, pot_params, -pot_grads, work.potential_model.params)
+                np.negative(pot_grads, out=pot_grads)  # the potential ascends
+                adam_step(pot_opt, pot_params, pot_grads, work.potential_model.params)
                 for _ in range(cfg.inner_steps):
                     loss_t = _map_step(work, map_params, map_opt, spec, cfg, rng)
             except DivergenceError as err:

@@ -16,6 +16,8 @@ and the AdamW moments stay float64: ``adam_step`` widens the float32
 gradient and refreshes the working copy after each update (mixed-precision
 training after Micikevicius et al., 2018, one step up in width). Inference,
 saved models and every reported number use the float64 master.
+``adam_step`` stores the moments as m/(1 - b1) and v/(1 - b2), so its bias
+corrections and eps fold into two scalars per step (Kingma & Ba, 2015, §2).
 """
 
 from __future__ import annotations
@@ -223,10 +225,12 @@ def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None,
     grad = np.empty_like(model.params) if params else None
     views = model.split(grad) if params else None  # [W0, b0, W1, b1, ...]
     g = upstream
+    # bias gradients as one GEMV each, a few times faster than an axis-0 sum
+    ones = np.ones(g.shape[0], g.dtype) if params else None
     for layer in range(len(model.weights) - 1, -1, -1):
         if params:
             np.matmul(post[layer].T, g, out=views[2 * layer])
-            np.sum(g, axis=0, out=views[2 * layer + 1])
+            np.matmul(ones, g, out=views[2 * layer + 1])
         g = g @ model.weights[layer].T
         if layer > 0:
             h = post[layer]  # activation of the layer below
@@ -241,8 +245,9 @@ def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None,
 class AdamState:
     """Decoupled-weight-decay Adam (AdamW) state for one flat parameter vector.
 
-    ``buffers`` is one float64 (4, n) block: first moment, second moment and
-    two scratch rows, so a step allocates nothing.
+    ``buffers`` is one float64 (4, n) block: the moments rescaled as
+    m / (1 - beta1) and v / (1 - beta2), and two scratch rows, so a step
+    allocates nothing.
     """
 
     learning_rate: float
@@ -275,40 +280,35 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     given; returns params and state. A non-finite gradient raises
     NumericalError naming its flat index and changes nothing.
     """
-    m, v, t1, t2 = state.buffers
+    m, v, t1, g = state.buffers
     if params.shape != m.shape or grads.shape != m.shape:
         raise ShapeError(f"params {params.shape} and grads {grads.shape} do not"
                          f" match the optimizer state {m.shape}")
-    np.copyto(t2, grads)
+    np.copyto(g, grads)
     # a float64 sum of float32 values cannot overflow, so it is non-finite
     # only past a non-finite entry; a float64 gradient's sum can, so the
     # scan decides
-    if not np.isfinite(t2.sum()):
-        bad = np.flatnonzero(~np.isfinite(t2))
+    if not np.isfinite(g.sum()):
+        bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             raise NumericalError(f"non-finite gradient at flat index {bad[0]}")
-    grads = t2  # t2 is free until the second moment is read below
     b1, b2 = state.betas
     state.step += 1
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
-    lr = state.learning_rate
+    # with m' = m/(1-b1) and v' = v/(1-b2), Adam's bias-corrected step
+    # lr * m_hat / (sqrt(v_hat) + eps) is c * m' / (sqrt(v') + eps * r)
+    r = math.sqrt((1.0 - b2 ** state.step) / (1.0 - b2))
+    c = state.learning_rate * (1.0 - b1) / (1.0 - b1 ** state.step) * r
     m *= b1
-    np.multiply(grads, 1.0 - b1, out=t1)
-    m += t1
+    m += g
     v *= b2
-    np.multiply(grads, 1.0 - b2, out=t1)
-    t1 *= grads
-    v += t1
+    np.square(g, out=g)
+    v += g
     if state.weight_decay:
-        np.multiply(params, lr * state.weight_decay, out=t1)
-        params -= t1
-    np.divide(m, bc1, out=t1)
-    t1 *= lr
-    np.divide(v, bc2, out=t2)
-    np.sqrt(t2, out=t2)
-    t2 += state.epsilon
-    t1 /= t2
+        params *= 1.0 - state.learning_rate * state.weight_decay
+    np.sqrt(v, out=g)
+    g += state.epsilon * r
+    np.divide(m, g, out=t1)
+    t1 *= c
     params -= t1
     if work is not None:
         np.copyto(work, params)

@@ -1085,6 +1085,20 @@ def test_sampling_a_float32_plan_draws_from_its_widened_coupling():
     np.testing.assert_array_equal(i_idx * 50 + j_idx, want)
 
 
+def test_sampling_equals_the_unsorted_cdf_search_on_a_plan_with_zero_entries():
+    coupling = make_rng(9, "root").uniform(size=(30, 40)) ** 4
+    coupling[5] = 0.0
+    coupling[:, [0, 7, 39]] = 0.0
+    coupling /= coupling.sum()
+    plan = _plan_from(coupling)
+    rng, ref = make_rng(9, "pairs"), make_rng(9, "pairs")
+    for count in (1, 2, 3000):
+        i_idx, j_idx = sample_index_pairs(plan, count, rng)
+        want = plan.sampling_cdf.searchsorted(ref.random(count), side="right")
+        np.testing.assert_array_equal(i_idx * 40 + j_idx, want)
+        assert np.all(coupling[i_idx, j_idx] > 0.0)
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_sampling_draws_equal_generator_choice(seed):
     coupling = make_rng(seed, "root").uniform(size=(20, 30)) ** 4

@@ -223,6 +223,25 @@ def test_adam_matches_scalar_recurrence():
         np.testing.assert_allclose(params[0], x, rtol=1e-14)
 
 
+def test_adamw_matches_scalar_recurrence_with_float32_gradients():
+    """Independent elementwise AdamW recurrence, decay on, float32 gradients."""
+    lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.5
+    params = np.array([2.0, -1.5])
+    state = adam_init(params, lr, betas=(b1, b2), epsilon=eps, weight_decay=wd)
+    x = params.tolist()
+    m, v = [0.0, 0.0], [0.0, 0.0]
+    for step in range(1, 41):
+        g32 = np.array([np.sin(step) + x[0], np.cos(3 * step) - x[1]], dtype=np.float32)
+        adam_step(state, params, g32)
+        for i, gs in enumerate(g32.tolist()):
+            m[i] = b1 * m[i] + (1 - b1) * gs
+            v[i] = b2 * v[i] + (1 - b2) * gs * gs
+            mhat = m[i] / (1 - b1**step)
+            vhat = v[i] / (1 - b2**step)
+            x[i] -= lr * wd * x[i] + lr * mhat / (np.sqrt(vhat) + eps)
+        np.testing.assert_allclose(params, x, rtol=1e-13)
+
+
 def test_adam_converges_on_quadratic():
     params = np.array([0.0])
     state = adam_init(params, 0.1)
