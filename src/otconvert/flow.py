@@ -18,14 +18,15 @@ from .discrete import SinkhornConfig, cost_matrix, sample_pairs_from_plan, sinkh
 from .errors import (DivergenceError, NumericalError, SettingError, ShapeError,
                      ValidationError, reject_non_finite)
 from .nn import (
+    COMPUTE_DTYPE,
     MlpModel,
     _forward_cached,
     adam_init,
     adam_step,
+    as_dtype,
     init_mlp,
     mlp_backward,
     mlp_forward,
-    working_copy,
 )
 
 ODE_METHODS = ("euler", "rk4")
@@ -45,12 +46,11 @@ class FlowConfig:
 
     def __post_init__(self):
         reject_non_finite(self)
-        if self.iterations < 1:
-            raise SettingError("iterations", "must be >= 1")
-        if self.ode_steps < 1:
-            raise SettingError("ode_steps", "must be >= 1")
-        if self.batch_size < 1:
-            raise SettingError("batch_size", "must be >= 1")
+        for key in ("iterations", "ode_steps", "batch_size"):
+            if getattr(self, key) < 1:
+                raise SettingError(key, "must be >= 1")
+        if any(d < 1 for d in self.hidden_dims):
+            raise SettingError("hidden_dims", f"must all be >= 1, got {self.hidden_dims}")
         if self.ode_method not in ODE_METHODS:
             raise SettingError("ode_method",
                                f"must be one of {ODE_METHODS}, got {self.ode_method!r}")
@@ -77,8 +77,8 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
     pair_sampler(count, rng) must return two (count, d) arrays (x0, x1).
     Each iteration draws a batch, samples t uniformly per element, forms
     x_t = (1-t) x0 + t x1, and takes one Adam step on
-    mean ‖v(t, x_t) − (x1 − x0)‖², with the passes on the network's
-    float32 working copy. The per-iteration loss lands in
+    mean ‖v(t, x_t) − (x1 − x0)‖². The network trains as one float32 copy
+    and is returned widened to float64. The per-iteration loss lands in
     training_loss_trace.
 
     Raises DivergenceError naming the iteration if the loss goes non-finite
@@ -92,9 +92,8 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
     if np.asarray(x1).shape != x0.shape:
         raise ShapeError("pair sampler returned mismatched x0/x1 shapes")
 
-    model = init_mlp((dim, *cfg.hidden_dims, dim), rng, activation="relu",
-                     time_conditioned=True)
-    work = working_copy(model)
+    model = as_dtype(init_mlp((dim, *cfg.hidden_dims, dim), rng, activation="relu",
+                              time_conditioned=True), COMPUTE_DTYPE)
     opt = adam_init(model.params, cfg.learning_rate)
     trace: list[float] = []
     # the loss check and adam_step turn float32 overflow into errors
@@ -106,7 +105,7 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
             t = rng.uniform(size=cfg.batch_size)
             xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
             target = x1 - x0
-            pred, cache = _forward_cached(work, xt, t=t)
+            pred, cache = _forward_cached(model, xt, t=t)
             diff = pred - target
             loss = float(np.mean(np.sum(diff * diff, axis=1)))
             if not np.isfinite(loss):
@@ -118,10 +117,10 @@ def fm_train(pair_sampler, cfg: FlowConfig, rng: np.random.Generator) -> Velocit
             if loss > _BLOW_UP * trace[0] > 0.0:
                 raise DivergenceError(f"training loss {loss:g} passed {_BLOW_UP:g} times"
                                       f" the first at iteration {iteration}", trace=trace)
-            grads, _ = mlp_backward(work, xt, t=t, upstream=2.0 * diff / cfg.batch_size,
+            grads, _ = mlp_backward(model, xt, t=t, upstream=2.0 * diff / cfg.batch_size,
                                     cache=cache)
-            adam_step(opt, model.params, grads, work.params)
-    return VelocityField(model=model, dim=dim, training_loss_trace=trace)
+            adam_step(opt, model.params, grads)
+    return VelocityField(as_dtype(model, np.float64), dim, trace)
 
 
 def _ode_states(field: VelocityField, x: np.ndarray, cfg: FlowConfig):

@@ -27,14 +27,15 @@ from .errors import (DivergenceError, SettingError, ShapeError, ValidationError,
                      reject_non_finite)
 from .metrics import THEOREM1_SLACK, frechet_distance, w2_squared_empirical
 from .nn import (
+    COMPUTE_DTYPE,
     MlpModel,
     _forward_cached,
     adam_init,
     adam_step,
+    as_dtype,
     init_mlp,
     mlp_backward,
     mlp_forward,
-    working_copy,
 )
 
 LR_DECAYS = ("none", "cosine")
@@ -117,14 +118,14 @@ class NotConfig:
 
     def __post_init__(self):
         reject_non_finite(self)
-        if self.inner_steps < 1:
-            raise SettingError("inner_steps", "must be >= 1")
-        if self.total_outer_iterations < 1:
-            raise SettingError("total_outer_iterations", "must be >= 1")
+        for key in ("inner_steps", "batch_size", "total_outer_iterations",
+                    "checkpoint_every", "eval_samples"):
+            if getattr(self, key) < 1:
+                raise SettingError(key, "must be >= 1")
+        if any(d < 1 for d in self.hidden_dims):
+            raise SettingError("hidden_dims", f"must all be >= 1, got {self.hidden_dims}")
         if self.w is not None and self.w < 1.0:
             raise SettingError("w", f"must be >= 1, got {self.w}")
-        if self.checkpoint_every < 1:
-            raise SettingError("checkpoint_every", "must be >= 1")
         if self.lr_decay not in LR_DECAYS:
             raise SettingError("lr_decay", f"must be 'none' or 'cosine', got {self.lr_decay!r}")
 
@@ -249,22 +250,18 @@ class TrainTrace:
     checkpoints: list = field(default_factory=list)
 
 
-def _working_pair(pair: NotModelPair) -> NotModelPair:
-    """The pair's float32 working copies, on which training runs its passes."""
-    return dataclasses.replace(pair, map_model=working_copy(pair.map_model),
-                               potential_model=working_copy(pair.potential_model))
+def _pair_as(pair: NotModelPair, dtype) -> NotModelPair:
+    """A copy of the pair with both networks' params in dtype (``as_dtype``)."""
+    return dataclasses.replace(pair, map_model=as_dtype(pair.map_model, dtype),
+                               potential_model=as_dtype(pair.potential_model, dtype))
 
 
-def _map_step(work: NotModelPair, map_params, opt, spec: ConditionSpec,
-              cfg: NotConfig, rng) -> float:
-    """One AdamW step of the map on a fresh source batch; returns its loss.
-
-    The loss and gradient come from the working pair; the step updates the
-    float64 master vector map_params and refreshes the working map from it.
-    """
+def _map_step(pair: NotModelPair, opt, spec: ConditionSpec, cfg: NotConfig,
+              rng) -> float:
+    """One AdamW step of the map on a fresh source batch; returns its loss."""
     x = draw_rows(spec.source, cfg.batch_size, rng)
-    loss, grads = not_loss_map(work, x, spec.vector, cfg)
-    adam_step(opt, map_params, grads, work.map_model.params)
+    loss, grads = not_loss_map(pair, x, spec.vector, cfg)
+    adam_step(opt, pair.map_model.params, grads)
     return loss
 
 
@@ -305,14 +302,13 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
 
     cfg.extremal selects the extremal objective (nonpositive potential,
     target term scaled by cfg.w); otherwise the plain game is trained.
-    Losses and gradients come from float32 working copies of the pair; the
-    returned pair and the checkpoints use the float64 master.
+    Each network trains as one float32 copy; the checkpoints and the
+    returned pair use its exact float64 widening.
     """
-    pair = _init_pair(dataset, cfg, rng)
-    work = _working_pair(pair)
-    pot_params, map_params = pair.potential_model.params, pair.map_model.params
+    pair = _pair_as(_init_pair(dataset, cfg, rng), COMPUTE_DTYPE)
+    pot_params = pair.potential_model.params
     pot_opt = adam_init(pot_params, cfg.potential_lr, weight_decay=cfg.weight_decay)
-    map_opt = adam_init(map_params, cfg.map_lr, weight_decay=cfg.weight_decay)
+    map_opt = adam_init(pair.map_model.params, cfg.map_lr, weight_decay=cfg.weight_decay)
     trace = TrainTrace()
     n_cond = len(dataset.conditions)
     for iteration in range(1, cfg.total_outer_iterations + 1):
@@ -325,11 +321,11 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
         # the losses and adam_step turn float32 overflow into errors
         with np.errstate(all="ignore"):
             try:
-                loss_f, pot_grads = not_loss_potential(work, x, y, spec.vector, cfg)
+                loss_f, pot_grads = not_loss_potential(pair, x, y, spec.vector, cfg)
                 np.negative(pot_grads, out=pot_grads)  # the potential ascends
-                adam_step(pot_opt, pot_params, pot_grads, work.potential_model.params)
+                adam_step(pot_opt, pot_params, pot_grads)
                 for _ in range(cfg.inner_steps):
-                    loss_t = _map_step(work, map_params, map_opt, spec, cfg, rng)
+                    loss_t = _map_step(pair, map_opt, spec, cfg, rng)
             except DivergenceError as err:
                 err.trace = trace  # the iterations finished before this one
                 raise
@@ -342,8 +338,9 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
                 trace=trace,
             )
         if iteration % cfg.checkpoint_every == 0 or iteration == cfg.total_outer_iterations:
-            trace.checkpoints.append(_checkpoint(pair, dataset, cfg, rng, iteration))
-    return pair, trace
+            trained = _pair_as(pair, np.float64)
+            trace.checkpoints.append(_checkpoint(trained, dataset, cfg, rng, iteration))
+    return trained, trace
 
 
 @dataclass
@@ -392,15 +389,14 @@ def duality_gap_estimate(pair: NotModelPair, dataset: ConditionalDataset,
     current_map_loss = _map_only_loss(pair, dataset, cfg, eval_batches)
 
     # best-response probe: fresh map, frozen potential
-    fresh_map = _init_net(dataset, dataset.dim, cfg, rng)
-    probe_pair = dataclasses.replace(pair, map_model=fresh_map)
-    probe_work = _working_pair(probe_pair)
-    opt = adam_init(fresh_map.params, cfg.map_lr, weight_decay=cfg.weight_decay)
+    probe = _pair_as(dataclasses.replace(
+        pair, map_model=_init_net(dataset, dataset.dim, cfg, rng)), COMPUTE_DTYPE)
+    opt = adam_init(probe.map_model.params, cfg.map_lr, weight_decay=cfg.weight_decay)
     n_cond = len(dataset.conditions)
     for _ in range(probe_iterations):
         spec = dataset.conditions[int(rng.integers(n_cond))]
-        _map_step(probe_work, fresh_map.params, opt, spec, cfg, rng)
-    fresh_map_loss = _map_only_loss(probe_pair, dataset, cfg, eval_batches)
+        _map_step(probe, opt, spec, cfg, rng)
+    fresh_map_loss = _map_only_loss(_pair_as(probe, np.float64), dataset, cfg, eval_batches)
     epsilon1 = current_map_loss - fresh_map_loss
 
     # saddle-value proxy: fresh pair retrained from scratch

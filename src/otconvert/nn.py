@@ -10,14 +10,14 @@ Each network keeps all its parameters in one flat vector, and gradients and
 Adam updates work on vectors in that same layout.
 
 Precision: a forward or backward pass computes in the dtype of the model it
-is given. Training runs both on a float32 working copy (``working_copy``),
-about twice the one-core GEMM rate of float64, while the master ``params``
-and the AdamW moments stay float64: ``adam_step`` widens the float32
-gradient and refreshes the working copy after each update (mixed-precision
-training after Micikevicius et al., 2018, one step up in width). Inference,
-saved models and every reported number use the float64 master.
+is given. Training holds each network as one ``COMPUTE_DTYPE`` (float32)
+copy, about twice the one-core GEMM rate of float64, and ``as_dtype`` widens
+it exactly to float64 for checkpoints, saved models and inference.
 ``adam_step`` stores the moments as m/(1 - b1) and v/(1 - b2), so its bias
 corrections and eps fold into two scalars per step (Kingma & Ba, 2015, §2).
+Every ``FLUSH_EVERY`` steps it zeroes moment entries below ``FLUSH_BOUND``
+times the dtype's ``tiny``: a dead unit's first moment decays by b1 a step
+and would otherwise go subnormal, which slows every pass over it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ import numpy as np
 from .errors import NumericalError, ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh")
-COMPUTE_DTYPE = np.float32  # the training passes' working copies
+COMPUTE_DTYPE = np.float32  # the dtype networks train in
+# adam_step's subnormal flush; 0.9**64 > 2**-10, so a kept entry stays normal
+FLUSH_EVERY = 64
+FLUSH_BOUND = 2.0 ** 10
 
 
 def param_layout(layer_dims, activation="relu", time_conditioned=False,
@@ -59,8 +62,8 @@ class MlpModel:
     """Feedforward network: layer_dims = (input, hidden..., output).
 
     All parameters live in one vector ``params`` (float64 zeros if not
-    given; float32 only for a ``working_copy``); ``weights[i]`` and
-    ``biases[i]`` are views into it.
+    given; float32 while the network trains, see ``as_dtype``);
+    ``weights[i]`` and ``biases[i]`` are views into it.
     """
 
     layer_dims: tuple[int, ...]
@@ -122,12 +125,13 @@ def init_mlp(layer_dims, rng: np.random.Generator, activation: str = "relu",
     return model
 
 
-def working_copy(model: MlpModel) -> MlpModel:
-    """A float32 copy of a float64 model for training's forward and backward passes.
+def as_dtype(model: MlpModel, dtype) -> MlpModel:
+    """A copy of model with its params in dtype.
 
-    Pass its ``params`` to ``adam_step`` as ``work`` to keep it current.
+    Training converts to ``COMPUTE_DTYPE`` when it starts and back to
+    float64, which is exact, for checkpoints and the model it returns.
     """
-    return MlpModel(model.layer_dims, model.params.astype(COMPUTE_DTYPE),
+    return MlpModel(model.layer_dims, model.params.astype(dtype),
                     model.activation, model.time_conditioned, model.condition_dim)
 
 
@@ -245,9 +249,9 @@ def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None,
 class AdamState:
     """Decoupled-weight-decay Adam (AdamW) state for one flat parameter vector.
 
-    ``buffers`` is one float64 (4, n) block: the moments rescaled as
-    m / (1 - beta1) and v / (1 - beta2), and two scratch rows, so a step
-    allocates nothing.
+    ``buffers`` is one (3, n) block in the dtype of the parameters: the
+    moments rescaled as m / (1 - beta1) and v / (1 - beta2), and a scratch
+    row, so a step allocates nothing.
     """
 
     learning_rate: float
@@ -260,36 +264,32 @@ class AdamState:
 
 def adam_init(params, learning_rate, betas=(0.9, 0.999), epsilon=1e-8,
               weight_decay=0.0) -> AdamState:
-    """Zeroed AdamW state for the flat vector ``params``."""
+    """Zeroed AdamW state for the flat vector ``params``, in its dtype."""
     return AdamState(
         learning_rate=float(learning_rate),
         betas=(float(betas[0]), float(betas[1])),
         epsilon=float(epsilon),
         weight_decay=float(weight_decay),
-        buffers=np.zeros((4, params.size)),
+        buffers=np.zeros((3, params.size), params.dtype),
     )
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
-              work: np.ndarray | None = None):
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     """One AdamW update of the flat vector params from the flat vector grads.
 
-    grads may be float32; it is widened to float64 first, so the update is
-    the one its widened values would give. Mutates params and state in
-    place, then copies params into ``work`` (a working copy's params) when
-    given; returns params and state. A non-finite gradient raises
-    NumericalError naming its flat index and changes nothing.
+    The update computes in the dtype of params; grads of a narrower dtype
+    enter widened. Mutates params and state in place and returns both. A
+    non-finite gradient raises NumericalError naming its flat index and
+    changes nothing.
     """
-    m, v, t1, g = state.buffers
+    m, v, g = state.buffers
     if params.shape != m.shape or grads.shape != m.shape:
         raise ShapeError(f"params {params.shape} and grads {grads.shape} do not"
                          f" match the optimizer state {m.shape}")
-    np.copyto(g, grads)
-    # a float64 sum of float32 values cannot overflow, so it is non-finite
-    # only past a non-finite entry; a float64 gradient's sum can, so the
-    # scan decides
-    if not np.isfinite(g.sum()):
-        bad = np.flatnonzero(~np.isfinite(g))
+    # the sum, in the dtype of params, is non-finite past a non-finite entry
+    # or when finite entries overflow it, so the scan decides
+    if not np.isfinite(grads.sum(dtype=m.dtype)):
+        bad = np.flatnonzero(~np.isfinite(grads))
         if bad.size:
             raise NumericalError(f"non-finite gradient at flat index {bad[0]}")
     b1, b2 = state.betas
@@ -299,17 +299,19 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     r = math.sqrt((1.0 - b2 ** state.step) / (1.0 - b2))
     c = state.learning_rate * (1.0 - b1) / (1.0 - b1 ** state.step) * r
     m *= b1
-    m += g
+    m += grads
     v *= b2
-    np.square(g, out=g)
+    np.square(grads, out=g, dtype=g.dtype)
     v += g
     if state.weight_decay:
         params *= 1.0 - state.learning_rate * state.weight_decay
     np.sqrt(v, out=g)
     g += state.epsilon * r
-    np.divide(m, g, out=t1)
-    t1 *= c
-    params -= t1
-    if work is not None:
-        np.copyto(work, params)
+    np.divide(m, g, out=g)
+    g *= c
+    params -= g
+    if state.step % FLUSH_EVERY == 0:
+        floor = FLUSH_BOUND * np.finfo(m.dtype).tiny
+        for moment in (m, v):
+            moment[np.abs(moment, out=g) < floor] = 0.0
     return params, state

@@ -407,6 +407,25 @@ class TestTrainNot:
         assert lines[0] == f"error: {key} must be finite, got nan"
         assert not model.exists()
 
+    @pytest.mark.parametrize("config_line, message", [
+        ("batch_size = 0", "batch_size must be >= 1"),
+        ("batch_size = -3", "batch_size must be >= 1"),
+        ("eval_samples = 0", "eval_samples must be >= 1"),
+        ("hidden_dims = 3,0,3", "hidden_dims must all be >= 1, got (3, 0, 3)"),
+    ], ids=["batch_size_0", "batch_size_negative", "eval_samples", "hidden_dims"])
+    def test_bad_size_exits_2_naming_key(self, tmp_path, capsys, config_line, message):
+        spec = self._dataset(tmp_path, capsys)
+        model = tmp_path / "p.otm"
+        cfg = tmp_path / "not.cfg"
+        cfg.write_text(f"command = train-not\ntotal_outer_iterations = 5\n{config_line}\n")
+        code, stdout, err = run_cli(capsys, "train-not", "--config", cfg,
+                                    "--dataset-spec", spec, "--out-model", model)
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not model.exists()
+        assert not (tmp_path / "p.otm.loss.csv").exists()
+
     def test_divergence_guard_exits_4_with_trace(self, tmp_path, capsys):
         spec = self._dataset(tmp_path, capsys)
         model = tmp_path / "p.otm"
@@ -979,8 +998,9 @@ class TestSinkhornNonConvergence:
     ("fm_iterations = 0", "fm_iterations must be >= 1"),
     ("sinkhorn_max_iterations = 0", "sinkhorn_max_iterations must be >= 1"),
     ("sinkhorn_tolerance = 0", "sinkhorn_tolerance must be > 0, got 0.0"),
+    ("fm_hidden_dims = 3,0,3", "fm_hidden_dims must all be >= 1, got (3, 0, 3)"),
 ], ids=["fm_learning_rate", "fm_iterations", "sinkhorn_max_iterations",
-        "sinkhorn_tolerance"])
+        "sinkhorn_tolerance", "fm_hidden_dims"])
 def test_setting_error_names_the_config_key(config_line, message, tmp_path, capsys):
     make_frames(tmp_path / "src.otf", n=20, d=4, seed=20)
     make_frames(tmp_path / "ref.otf", n=20, d=4, seed=21, shift=0.5)

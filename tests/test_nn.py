@@ -4,16 +4,18 @@ import pytest
 from otconvert.errors import NumericalError, ShapeError, ValidationError
 from otconvert.fileio import (read_not_pair, read_velocity_field, write_not_pair,
                               write_velocity_field)
+from otconvert import flow, neural
 from otconvert.flow import FlowConfig, fm_train
 from otconvert.neural import NotConfig, dataset_from_arrays, not_train
 from otconvert.nn import (
+    COMPUTE_DTYPE,
     MlpModel,
     adam_init,
     adam_step,
+    as_dtype,
     init_mlp,
     mlp_backward,
     mlp_forward,
-    working_copy,
 )
 from otconvert.rng import make_rng
 
@@ -141,7 +143,7 @@ def test_working_copy_passes_match_float64_to_float32_rounding(
     if activation == "relu":
         # float32 rounding must not flip a unit's side of the kink
         assert _relu_margin(model, x, t, s) > 1e-3
-    work = working_copy(model)
+    work = as_dtype(model, COMPUTE_DTYPE)
     assert work.params.dtype == np.float32
     assert model.params.dtype == np.float64
     _assert_f32_close(mlp_forward(work, x, t=t, s=s), mlp_forward(model, x, t=t, s=s))
@@ -299,21 +301,65 @@ def test_adam_rejects_a_float32_nan_naming_its_index_and_changes_nothing(index):
         np.testing.assert_array_equal(buf, kept)
 
 
-def test_adam_widens_float32_gradients_and_refreshes_the_working_copy():
-    model = init_mlp((3, 5, 2), make_rng(0, "init"), condition_dim=1)
-    work = working_copy(model)
-    widened = model.params.copy()
-    state32 = adam_init(model.params, 0.01, weight_decay=0.1)
-    state64 = adam_init(widened, 0.01, weight_decay=0.1)
-    data = make_rng(1)
-    for _ in range(5):
-        g32 = data.normal(size=model.params.size).astype(np.float32)
-        adam_step(state32, model.params, g32, work.params)
-        adam_step(state64, widened, g32.astype(np.float64))
-        assert model.params.dtype == np.float64
-        assert np.array_equal(model.params, widened)
-        assert np.array_equal(state32.buffers[:2], state64.buffers[:2])
-        assert np.array_equal(work.params, model.params.astype(np.float32))
+def test_adam_init_gives_the_moments_the_dtype_of_the_params():
+    for dtype in (np.float32, np.float64):
+        state = adam_init(np.zeros(6, dtype), 0.01)
+        assert state.buffers.dtype == dtype
+        assert state.buffers[0].shape == state.buffers[1].shape == (6,)
+
+
+def test_float32_moments_never_go_subnormal_after_the_gradient_stops():
+    # a dead unit: one unit gradient, then zeros; b1**t passes float32's
+    # smallest normal near step 830 and its smallest subnormal near 990
+    params = np.ones(4, np.float32)
+    state = adam_init(params, 0.001)
+    adam_step(state, params, np.ones(4, np.float32))
+    tiny = np.finfo(np.float32).tiny
+    for _ in range(1000):
+        adam_step(state, params, np.zeros(4, np.float32))
+        for moment in state.buffers[:2]:
+            assert moment.dtype == np.float32
+            assert not np.any((moment != 0.0) & (np.abs(moment) < tiny)), state.step
+    assert np.all(state.buffers[1] > 0.0)  # v decays by b2 and stays normal
+
+
+def test_trained_models_are_the_exact_float64_widening_of_their_float32_copies(
+        monkeypatch):
+    widened = []
+
+    def recording(model, dtype):
+        out = as_dtype(model, dtype)
+        if dtype == np.float64:
+            widened.append((model.params.copy(), out))
+        return out
+
+    monkeypatch.setattr(flow, "as_dtype", recording)
+    monkeypatch.setattr(neural, "as_dtype", recording)
+    rng = make_rng(2)
+    shift = np.array([1.0, -0.5])
+
+    def pairs(count, rng):
+        x0 = rng.normal(size=(count, 2))
+        return x0, x0 + shift
+
+    field = fm_train(pairs, FlowConfig(hidden_dims=(8,), batch_size=16, iterations=5),
+                     make_rng(3, "train"))
+    dataset = dataset_from_arrays([("c", [1.0], rng.normal(size=(50, 2)),
+                                    rng.normal(size=(50, 2)) + shift)])
+    pair, _ = not_train(dataset, NotConfig(hidden_dims=(8,), batch_size=16,
+                                           inner_steps=2, total_outer_iterations=3,
+                                           eval_samples=8),
+                        make_rng(4, "train"))
+    # fm_train widens its field once; not_train its map and potential once
+    # at its one checkpoint, the last iteration, and returns that pair
+    returned = [field.model, pair.map_model, pair.potential_model]
+    assert len(widened) == len(returned)
+    for (trained, out), model in zip(widened, returned):
+        assert out is model
+        assert trained.dtype == np.float32
+        assert out.params.dtype == np.float64
+        assert np.array_equal(out.params, trained.astype(np.float64))
+        assert np.array_equal(out.params.astype(np.float32), trained)
 
 
 def test_trained_params_stay_float64_through_model_files(tmp_path):
