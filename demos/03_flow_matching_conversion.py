@@ -56,8 +56,7 @@ def conversion_part() -> None:
     print(f"{'reference frames':>17} {'converter':>10} {'frame fidelity':>15}")
 
     for n_reference in (1500, 50):
-        task = conversion_clusters(600, n_reference, 6, make_rng(0),
-                                   exact_proportions=True)
+        task = conversion_clusters(600, n_reference, 6, make_rng(0))
         directions = np.array(task.truth["directions"])
         shifted = np.array(task.truth["shifted_directions"])
         ideal = (task.source - directions[task.source_labels]

@@ -49,6 +49,8 @@ class FlowConfig:
         for key in ("iterations", "ode_steps", "batch_size"):
             if getattr(self, key) < 1:
                 raise SettingError(key, "must be >= 1")
+        if self.learning_rate <= 0:
+            raise SettingError("learning_rate", f"must be > 0, got {self.learning_rate}")
         if any(d < 1 for d in self.hidden_dims):
             raise SettingError("hidden_dims", f"must all be >= 1, got {self.hidden_dims}")
         if self.ode_method not in ODE_METHODS:

@@ -39,6 +39,7 @@ from .nn import (
 )
 
 LR_DECAYS = ("none", "cosine")
+GAP_EVAL_SAMPLES = 512  # rows per condition in duality_gap_estimate's batches
 
 
 @dataclass
@@ -111,7 +112,6 @@ class NotConfig:
     extremal: bool = False
     w: float | None = None
     hidden_dims: tuple[int, ...] = (128, 128, 128)
-    weight_decay: float = 1e-10
     divergence_guard: float = 1e8
     checkpoint_every: int = 250
     eval_samples: int = 64
@@ -122,6 +122,9 @@ class NotConfig:
                     "checkpoint_every", "eval_samples"):
             if getattr(self, key) < 1:
                 raise SettingError(key, "must be >= 1")
+        for key in ("map_lr", "potential_lr", "divergence_guard"):
+            if getattr(self, key) <= 0:
+                raise SettingError(key, f"must be > 0, got {getattr(self, key)}")
         if any(d < 1 for d in self.hidden_dims):
             raise SettingError("hidden_dims", f"must all be >= 1, got {self.hidden_dims}")
         if self.w is not None and self.w < 1.0:
@@ -258,7 +261,7 @@ def _pair_as(pair: NotModelPair, dtype) -> NotModelPair:
 
 def _map_step(pair: NotModelPair, opt, spec: ConditionSpec, cfg: NotConfig,
               rng) -> float:
-    """One AdamW step of the map on a fresh source batch; returns its loss."""
+    """One Adam step of the map on a fresh source batch; returns its loss."""
     x = draw_rows(spec.source, cfg.batch_size, rng)
     loss, grads = not_loss_map(pair, x, spec.vector, cfg)
     adam_step(opt, pair.map_model.params, grads)
@@ -307,8 +310,8 @@ def not_train(dataset: ConditionalDataset, cfg: NotConfig, rng: np.random.Genera
     """
     pair = _pair_as(_init_pair(dataset, cfg, rng), COMPUTE_DTYPE)
     pot_params = pair.potential_model.params
-    pot_opt = adam_init(pot_params, cfg.potential_lr, weight_decay=cfg.weight_decay)
-    map_opt = adam_init(pair.map_model.params, cfg.map_lr, weight_decay=cfg.weight_decay)
+    pot_opt = adam_init(pot_params, cfg.potential_lr)
+    map_opt = adam_init(pair.map_model.params, cfg.map_lr)
     trace = TrainTrace()
     n_cond = len(dataset.conditions)
     for iteration in range(1, cfg.total_outer_iterations + 1):
@@ -371,19 +374,20 @@ def _map_only_loss(pair, dataset, cfg, eval_batches) -> float:
 
 def duality_gap_estimate(pair: NotModelPair, dataset: ConditionalDataset,
                          cfg: NotConfig, rng: np.random.Generator,
-                         probe_iterations: int = 500,
-                         eval_samples: int = 512) -> DualityGapReport:
+                         probe_iterations: int = 500) -> DualityGapReport:
     """Diagnostic suboptimality probes for a trained pair.
 
     epsilon1: the pair's map loss minus the loss of a fresh map retrained
     against the frozen potential — how far the inner problem is from its
     best response. epsilon2 is reported as a proxy only: the objective value
     of a freshly retrained pair minus the current pair's value. Neither is a
-    certified bound; both are estimated on fixed evaluation batches.
+    certified bound; both are estimated on fixed evaluation batches of
+    ``GAP_EVAL_SAMPLES`` rows per condition.
     """
     _check_mode(pair, cfg)
     eval_batches = [
-        (draw_rows(spec.source, eval_samples, rng), draw_rows(spec.target, eval_samples, rng))
+        (draw_rows(spec.source, GAP_EVAL_SAMPLES, rng),
+         draw_rows(spec.target, GAP_EVAL_SAMPLES, rng))
         for spec in dataset.conditions
     ]
     current_map_loss = _map_only_loss(pair, dataset, cfg, eval_batches)
@@ -391,7 +395,7 @@ def duality_gap_estimate(pair: NotModelPair, dataset: ConditionalDataset,
     # best-response probe: fresh map, frozen potential
     probe = _pair_as(dataclasses.replace(
         pair, map_model=_init_net(dataset, dataset.dim, cfg, rng)), COMPUTE_DTYPE)
-    opt = adam_init(probe.map_model.params, cfg.map_lr, weight_decay=cfg.weight_decay)
+    opt = adam_init(probe.map_model.params, cfg.map_lr)
     n_cond = len(dataset.conditions)
     for _ in range(probe_iterations):
         spec = dataset.conditions[int(rng.integers(n_cond))]

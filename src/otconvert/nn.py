@@ -13,8 +13,12 @@ Precision: a forward or backward pass computes in the dtype of the model it
 is given. Training holds each network as one ``COMPUTE_DTYPE`` (float32)
 copy, about twice the one-core GEMM rate of float64, and ``as_dtype`` widens
 it exactly to float64 for checkpoints, saved models and inference.
-``adam_step`` stores the moments as m/(1 - b1) and v/(1 - b2), so its bias
-corrections and eps fold into two scalars per step (Kingma & Ba, 2015, §2).
+``adam_step`` is plain Adam at the fixed ``ADAM_BETAS`` and ``ADAM_EPSILON``
+(Kingma & Ba, 2015), with no weight decay: the NOT setup's decoupled decay of
+1e-10 scales float32 parameters by 1 - lr * 1e-10, which rounds to exactly 1
+for any lr below 298 (2**-25 / 1e-10). It stores the moments as m/(1 - b1)
+and v/(1 - b2), so its bias corrections and eps fold into two scalars per
+step (§2).
 Every ``FLUSH_EVERY`` steps it zeroes moment entries below ``FLUSH_BOUND``
 times the dtype's ``tiny``: a dead unit's first moment decays by b1 a step
 and would otherwise go subnormal, which slows every pass over it.
@@ -31,6 +35,8 @@ from .errors import NumericalError, ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh")
 COMPUTE_DTYPE = np.float32  # the dtype networks train in
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPSILON = 1e-8
 # adam_step's subnormal flush; 0.9**64 > 2**-10, so a kept entry stays normal
 FLUSH_EVERY = 64
 FLUSH_BOUND = 2.0 ** 10
@@ -247,7 +253,7 @@ def mlp_backward(model: MlpModel, x, t=None, s=None, upstream=None, cache=None,
 
 @dataclass
 class AdamState:
-    """Decoupled-weight-decay Adam (AdamW) state for one flat parameter vector.
+    """Adam state for one flat parameter vector.
 
     ``buffers`` is one (3, n) block in the dtype of the parameters: the
     moments rescaled as m / (1 - beta1) and v / (1 - beta2), and a scratch
@@ -255,27 +261,18 @@ class AdamState:
     """
 
     learning_rate: float
-    betas: tuple[float, float]
-    epsilon: float
-    weight_decay: float
     buffers: np.ndarray
     step: int = 0
 
 
-def adam_init(params, learning_rate, betas=(0.9, 0.999), epsilon=1e-8,
-              weight_decay=0.0) -> AdamState:
-    """Zeroed AdamW state for the flat vector ``params``, in its dtype."""
-    return AdamState(
-        learning_rate=float(learning_rate),
-        betas=(float(betas[0]), float(betas[1])),
-        epsilon=float(epsilon),
-        weight_decay=float(weight_decay),
-        buffers=np.zeros((3, params.size), params.dtype),
-    )
+def adam_init(params, learning_rate) -> AdamState:
+    """Zeroed Adam state for the flat vector ``params``, in its dtype."""
+    return AdamState(learning_rate=float(learning_rate),
+                     buffers=np.zeros((3, params.size), params.dtype))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
-    """One AdamW update of the flat vector params from the flat vector grads.
+    """One Adam update of the flat vector params from the flat vector grads.
 
     The update computes in the dtype of params; grads of a narrower dtype
     enter widened. Mutates params and state in place and returns both. A
@@ -292,7 +289,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
         bad = np.flatnonzero(~np.isfinite(grads))
         if bad.size:
             raise NumericalError(f"non-finite gradient at flat index {bad[0]}")
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     # with m' = m/(1-b1) and v' = v/(1-b2), Adam's bias-corrected step
     # lr * m_hat / (sqrt(v_hat) + eps) is c * m' / (sqrt(v') + eps * r)
@@ -303,10 +300,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     v *= b2
     np.square(grads, out=g, dtype=g.dtype)
     v += g
-    if state.weight_decay:
-        params *= 1.0 - state.learning_rate * state.weight_decay
     np.sqrt(v, out=g)
-    g += state.epsilon * r
+    g += ADAM_EPSILON * r
     np.divide(m, g, out=g)
     g *= c
     params -= g

@@ -2,7 +2,8 @@
 
 Every generator returns sample arrays plus a JSON-serializable truth record
 (true map parameters, centroids, labels) so tests and reports can score
-against an oracle instead of eyeballing.
+against an oracle instead of eyeballing. The task generators take only a
+size, a width and an rng; their geometry is the module constants below.
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ from .errors import ValidationError
 from .linalg import matrix_sqrt_psd, symmetrize
 
 TASK_NAMES = ("gauss_shift", "gauss_affine", "clusters_outlier", "two_conditions")
+SHIFT_NORM = 3.0  # length of the shift m in gauss_shift and two_conditions
+# clusters_outlier: centroid distances from the origin, the near cluster's
+# share of the target, and every cluster's per-axis standard deviation
+NEAR_SHIFT = 1.5
+OUTLIER_SHIFT = 8.0
+NEAR_FRACTION = 0.7
+SPREAD = 0.3
 
 
 @dataclass
@@ -38,15 +46,21 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def gauss_shift(n: int, dim: int, rng: np.random.Generator,
-                shift_norm: float = 3.0) -> SynthTask:
+def _check_sizes(n, dim):
+    """Reject a task size below 1; the error names the ``n`` or ``dim`` key."""
+    for key, value in (("n", n), ("dim", dim)):
+        if value < 1:
+            raise ValidationError(f"{key} must be >= 1, got {value}")
+
+
+def gauss_shift(n: int, dim: int, rng: np.random.Generator) -> SynthTask:
     """Standard normal source; target is an independent draw shifted by m.
 
-    The optimal map is x -> x + m; truth records m.
+    m has length ``SHIFT_NORM``. The optimal map is x -> x + m; truth
+    records m.
     """
-    if n < 1 or dim < 1:
-        raise ValidationError("n and dim must be positive")
-    shift = _unit(rng.normal(size=dim)) * shift_norm
+    _check_sizes(n, dim)
+    shift = _unit(rng.normal(size=dim)) * SHIFT_NORM
     source = rng.normal(size=(n, dim))
     target = rng.normal(size=(n, dim)) + shift
     return SynthTask(
@@ -64,8 +78,7 @@ def gauss_affine(n: int, dim: int, rng: np.random.Generator) -> SynthTask:
     The optimal map from N(0, I) is T(x) = A x + b with A = cov^{1/2},
     b = mean; truth records A, b, mean, cov.
     """
-    if n < 1 or dim < 1:
-        raise ValidationError("n and dim must be positive")
+    _check_sizes(n, dim)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     eigs = rng.uniform(0.5, 2.0, size=dim)
     cov = symmetrize(q @ np.diag(eigs) @ q.T)
@@ -82,31 +95,28 @@ def gauss_affine(n: int, dim: int, rng: np.random.Generator) -> SynthTask:
     )
 
 
-def clusters_outlier(n: int, dim: int, rng: np.random.Generator,
-                     near_shift: float = 1.5, outlier_shift: float = 8.0,
-                     near_fraction: float = 0.7,
-                     spread: float = 0.3) -> SynthTask:
+def clusters_outlier(n: int, dim: int, rng: np.random.Generator) -> SynthTask:
     """Source cluster at the origin; target = near cluster + far outlier cluster.
 
-    Target labels: 0 = near, 1 = outlier. The near centroid sits near_shift
-    from the origin, the outlier centroid outlier_shift away in another
-    direction. An extremal map with large w should land (almost) everything
-    in the near cluster; a plain transport map must cover both.
+    Target labels: 0 = near, 1 = outlier. The near centroid sits
+    ``NEAR_SHIFT`` from the origin, the outlier centroid ``OUTLIER_SHIFT``
+    away in an orthogonal direction, and about ``NEAR_FRACTION`` of the
+    target is near. An extremal map with large w should land (almost)
+    everything in the near cluster; a plain transport map must cover both.
     """
-    if not (0.0 < near_fraction < 1.0):
-        raise ValidationError("near_fraction must be in (0, 1)")
+    _check_sizes(n, dim)
     if dim < 2:
         raise ValidationError("need dim >= 2 for distinct shift directions")
     u = _unit(rng.normal(size=dim))
     v = rng.normal(size=dim)
     v = _unit(v - (v @ u) * u)  # orthogonal direction for the outlier arm
-    near_center = near_shift * u
-    outlier_center = outlier_shift * v
-    n_near = max(1, min(n - 1, int(round(near_fraction * n))))
+    near_center = NEAR_SHIFT * u
+    outlier_center = OUTLIER_SHIFT * v
+    n_near = max(1, min(n - 1, int(round(NEAR_FRACTION * n))))
     n_out = n - n_near
-    source = spread * rng.normal(size=(n, dim))
-    near = near_center + spread * rng.normal(size=(n_near, dim))
-    outlier = outlier_center + spread * rng.normal(size=(n_out, dim))
+    source = SPREAD * rng.normal(size=(n, dim))
+    near = near_center + SPREAD * rng.normal(size=(n_near, dim))
+    outlier = outlier_center + SPREAD * rng.normal(size=(n_out, dim))
     target = np.vstack([near, outlier])
     labels = np.concatenate([np.zeros(n_near, dtype=np.int64),
                              np.ones(n_out, dtype=np.int64)])
@@ -121,18 +131,19 @@ def clusters_outlier(n: int, dim: int, rng: np.random.Generator,
             "near_center": near_center.tolist(),
             "outlier_center": outlier_center.tolist(),
             "near_fraction": n_near / n,
-            "spread": spread,
+            "spread": SPREAD,
         },
     )
 
 
-def two_conditions(n: int, dim: int, rng: np.random.Generator,
-                   shift_norm: float = 3.0) -> ConditionalSynthTask:
+def two_conditions(n: int, dim: int, rng: np.random.Generator) -> ConditionalSynthTask:
     """Two conversion directions: targets shifted by +m and by -m.
 
-    Condition vectors are the 2-d one-hot basis; truth records each shift.
+    m has length ``SHIFT_NORM``. Condition vectors are the 2-d one-hot
+    basis; truth records each shift.
     """
-    shift = _unit(rng.normal(size=dim)) * shift_norm
+    _check_sizes(n, dim)
+    shift = _unit(rng.normal(size=dim)) * SHIFT_NORM
     entries = []
     truth_shifts = {}
     for label, sign, vector in (("plus", 1.0, (1.0, 0.0)), ("minus", -1.0, (0.0, 1.0))):
@@ -150,27 +161,21 @@ def two_conditions(n: int, dim: int, rng: np.random.Generator,
 
 def conversion_clusters(n_source: int, n_reference: int, dim: int,
                         rng: np.random.Generator, n_clusters: int = 3,
-                        angular_spread: float = 0.35, offset: float = 0.12,
-                        exact_proportions: bool = True,
-                        run_length: float = 1.0) -> SynthTask:
+                        angular_spread: float = 0.35,
+                        offset: float = 0.12) -> SynthTask:
     """Directional clusters for frame-conversion tests (cosine geometry).
 
     Source frames scatter around n_clusters orthonormal directions; the
     reference holds fresh frames around the same directions nudged by a
     small tangent offset (the "same speaker content, new voice" stand-in).
-    Labels are returned for both sides; truth records both sets of centroid
-    directions. exact_proportions=False draws the reference labels as a
-    stream, modeling a short reference take; run_length > 1 makes that
-    stream sticky (expected run_length consecutive frames per cluster), so
-    a short take over-represents whichever clusters it dwelled on while a
-    long take still averages out.
+    Each side holds the clusters in exact proportions, frame i in cluster
+    i mod n_clusters before a shuffle. Labels are returned for both sides;
+    truth records both sets of centroid directions.
     """
     if dim < n_clusters:
         raise ValidationError(f"need dim >= n_clusters, got {dim} < {n_clusters}")
     if n_clusters < 2:
         raise ValidationError("need at least 2 clusters")
-    if run_length < 1.0:
-        raise ValidationError(f"run_length must be >= 1, got {run_length}")
     q, _ = np.linalg.qr(rng.normal(size=(dim, n_clusters)))
     directions = q.T  # rows are orthonormal
     shifted = np.empty_like(directions)
@@ -181,19 +186,8 @@ def conversion_clusters(n_source: int, n_reference: int, dim: int,
 
     src_labels = np.arange(n_source) % n_clusters
     rng.shuffle(src_labels)
-    if exact_proportions:
-        ref_labels = np.arange(n_reference) % n_clusters
-        rng.shuffle(ref_labels)
-    else:
-        # sticky label stream: geometric runs with mean run_length
-        stay = 1.0 - 1.0 / run_length
-        ref_labels = np.empty(n_reference, dtype=np.int64)
-        ref_labels[0] = rng.integers(n_clusters)
-        for i in range(1, n_reference):
-            if rng.uniform() < stay:
-                ref_labels[i] = ref_labels[i - 1]
-            else:
-                ref_labels[i] = rng.integers(n_clusters)
+    ref_labels = np.arange(n_reference) % n_clusters
+    rng.shuffle(ref_labels)
     source = directions[src_labels] + angular_spread * rng.normal(size=(n_source, dim))
     reference = shifted[ref_labels] + angular_spread * rng.normal(size=(n_reference, dim))
     return SynthTask(

@@ -363,8 +363,7 @@ def test_12_flow_conversion_survives_a_short_reference():
         theta = 0.12  # cosine tolerance defining "assigned to the right spot"
 
         def accuracies(n_reference):
-            task = conversion_clusters(600, n_reference, 6, make_rng(0),
-                                       exact_proportions=True)
+            task = conversion_clusters(600, n_reference, 6, make_rng(0))
             directions = np.array(task.truth["directions"])
             shifted = np.array(task.truth["shifted_directions"])
             ideal = (task.source - directions[task.source_labels]

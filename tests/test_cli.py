@@ -72,6 +72,17 @@ class TestSynth:
         assert len(truth["target_labels"]) == 40
         assert set(truth["target_labels"]) == {0, 1}
 
+    @pytest.mark.parametrize("key", ["n", "dim"])
+    @pytest.mark.parametrize("task", TASK_NAMES)
+    def test_size_below_one_exits_2_naming_key(self, tmp_path, capsys, task, key):
+        sizes = {"n": 10, "dim": 3, key: 0}
+        code, stdout, err = run_cli(capsys, "synth", "--task", task,
+                                    "--n", sizes["n"], "--dim", sizes["dim"],
+                                    "--out-dir", tmp_path / "data")
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [f"error: {key} must be >= 1, got 0"]
+
     def test_two_conditions_emits_dataset_spec(self, tmp_path, capsys):
         out = tmp_path / "tc"
         code, _, _ = run_cli(capsys, "synth", "--task", "two_conditions",
@@ -412,7 +423,11 @@ class TestTrainNot:
         ("batch_size = -3", "batch_size must be >= 1"),
         ("eval_samples = 0", "eval_samples must be >= 1"),
         ("hidden_dims = 3,0,3", "hidden_dims must all be >= 1, got (3, 0, 3)"),
-    ], ids=["batch_size_0", "batch_size_negative", "eval_samples", "hidden_dims"])
+        ("map_lr = -0.001", "map_lr must be > 0, got -0.001"),
+        ("potential_lr = 0", "potential_lr must be > 0, got 0.0"),
+        ("divergence_guard = 0", "divergence_guard must be > 0, got 0.0"),
+    ], ids=["batch_size_0", "batch_size_negative", "eval_samples", "hidden_dims",
+            "map_lr_negative", "potential_lr_0", "divergence_guard_0"])
     def test_bad_size_exits_2_naming_key(self, tmp_path, capsys, config_line, message):
         spec = self._dataset(tmp_path, capsys)
         model = tmp_path / "p.otm"
@@ -851,7 +866,7 @@ _DEFAULT_RUN_CFGS = {
     "train-not": (
         ["train-not", "--dataset-spec", "dataset.spec", "--out-model", "pair.otm"],
         None,
-        "c36a4312a040eccf7ce5a592e406cb218b06ef5b15be7c2fd824db60a8608120"),
+        "68a487f9c951ac34e4e13524067c3cc0b15d5ba5621084ccd5bc37110b288af0"),
     "eval": (
         ["eval", "--a", "src.otf", "--b", "ref.otf", "--report", "metrics.json"],
         "metrics.json.run.cfg",
@@ -999,8 +1014,11 @@ class TestSinkhornNonConvergence:
     ("sinkhorn_max_iterations = 0", "sinkhorn_max_iterations must be >= 1"),
     ("sinkhorn_tolerance = 0", "sinkhorn_tolerance must be > 0, got 0.0"),
     ("fm_hidden_dims = 3,0,3", "fm_hidden_dims must all be >= 1, got (3, 0, 3)"),
+    ("fm_learning_rate = -0.01", "fm_learning_rate must be > 0, got -0.01"),
+    ("fm_learning_rate = 0", "fm_learning_rate must be > 0, got 0.0"),
 ], ids=["fm_learning_rate", "fm_iterations", "sinkhorn_max_iterations",
-        "sinkhorn_tolerance", "fm_hidden_dims"])
+        "sinkhorn_tolerance", "fm_hidden_dims", "fm_learning_rate_negative",
+        "fm_learning_rate_0"])
 def test_setting_error_names_the_config_key(config_line, message, tmp_path, capsys):
     make_frames(tmp_path / "src.otf", n=20, d=4, seed=20)
     make_frames(tmp_path / "ref.otf", n=20, d=4, seed=21, shift=0.5)

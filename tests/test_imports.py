@@ -3,7 +3,10 @@
 Every top-level import is used by the module that makes it, and every
 private top-level function, class and constant is referenced somewhere in
 the package outside its own definition, so no helper is kept alive by
-tests alone. Importing the package itself loads no numpy.
+tests alone. Every defaulted parameter of a package function is given a
+value by at least one call in the package, the tests, the demos or the
+bench harness; one nothing sets is a constant. Importing the package itself
+loads no numpy.
 
 scipy has one import in the package: ``linear_sum_assignment``, inside the
 exact solver ``exact_ot``. So ``import otconvert.cli`` loads no scipy, nor
@@ -164,3 +167,61 @@ def test_scipy_solvers_load_it_on_first_use(call, loads):
             f"assert ('scipy' in sys.modules) is {loads}\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+ROOT = PACKAGE.parents[1]
+CALLERS = ("src", "tests", "demos", "perfbench")
+
+
+def _defaulted_parameters(body, owner=None):
+    """(callee name, parameter, positional index or None, line) per defaulted parameter.
+
+    A class's ``__init__`` is called by the class name. A method's index
+    leaves out ``self``, as a call through an attribute does.
+    """
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted_parameters(node.body, node.name)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            name = owner if owner and node.name == "__init__" else node.name
+            bound = 1 if owner else 0  # the package has no static or class methods
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index in range(first, len(positional)):
+                yield name, positional[index].arg, index - bound, node.lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None, node.lineno
+
+
+def _calls_by_name():
+    """Every call in the callers' sources, keyed by the called name or attribute."""
+    calls = {}
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, parameter, index):
+    """Whether a call gives the parameter a value: by keyword, position or unpacking."""
+    if any(keyword.arg in (None, parameter) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """A parameter no call sets holds one value: it is a constant, not a knob."""
+    calls = _calls_by_name()
+    unset = [f"{path.name}:{line} {name}({parameter})"
+             for path in MODULES
+             for name, parameter, index, line in _defaulted_parameters(
+                 ast.parse(path.read_text(encoding="utf-8")).body)
+             if not any(_passes(call, parameter, index) for call in calls.get(name, ()))]
+    assert not unset, unset

@@ -209,7 +209,7 @@ def test_adam_matches_scalar_recurrence():
     """Independent elementwise Adam recurrence, no weight decay."""
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     params = np.array([2.0])
-    state = adam_init(params, lr, betas=(b1, b2), epsilon=eps)
+    state = adam_init(params, lr)
 
     x = 2.0
     m = v = 0.0
@@ -225,11 +225,11 @@ def test_adam_matches_scalar_recurrence():
         np.testing.assert_allclose(params[0], x, rtol=1e-14)
 
 
-def test_adamw_matches_scalar_recurrence_with_float32_gradients():
-    """Independent elementwise AdamW recurrence, decay on, float32 gradients."""
-    lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.5
+def test_adam_matches_scalar_recurrence_with_float32_gradients():
+    """Independent elementwise Adam recurrence, float32 gradients."""
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     params = np.array([2.0, -1.5])
-    state = adam_init(params, lr, betas=(b1, b2), epsilon=eps, weight_decay=wd)
+    state = adam_init(params, lr)
     x = params.tolist()
     m, v = [0.0, 0.0], [0.0, 0.0]
     for step in range(1, 41):
@@ -240,7 +240,7 @@ def test_adamw_matches_scalar_recurrence_with_float32_gradients():
             v[i] = b2 * v[i] + (1 - b2) * gs * gs
             mhat = m[i] / (1 - b1**step)
             vhat = v[i] / (1 - b2**step)
-            x[i] -= lr * wd * x[i] + lr * mhat / (np.sqrt(vhat) + eps)
+            x[i] -= lr * mhat / (np.sqrt(vhat) + eps)
         np.testing.assert_allclose(params, x, rtol=1e-13)
 
 
@@ -250,17 +250,6 @@ def test_adam_converges_on_quadratic():
     for _ in range(500):
         adam_step(state, params, 2.0 * (params - 3.0))
     assert abs(params[0] - 3.0) < 1e-2
-
-
-def test_weight_decay_is_decoupled():
-    # zero gradients forever: the Adam term stays 0, decay acts alone
-    lr, wd = 0.05, 0.1
-    params = np.array([1.0, -2.0])
-    state = adam_init(params, lr, weight_decay=wd)
-    for _ in range(10):
-        adam_step(state, params, np.zeros(2))
-    np.testing.assert_allclose(params, np.array([1.0, -2.0]) * (1 - lr * wd) ** 10,
-                               rtol=1e-12)
 
 
 def test_adam_rejects_non_finite_gradient_with_index():
@@ -288,7 +277,7 @@ def test_adam_accepts_finite_float32_gradients_whose_float32_sum_overflows():
 @pytest.mark.parametrize("index", [0, 6, 9])
 def test_adam_rejects_a_float32_nan_naming_its_index_and_changes_nothing(index):
     params = make_rng(4).normal(size=10)
-    state = adam_init(params, 0.01, weight_decay=0.1)
+    state = adam_init(params, 0.01)
     adam_step(state, params, np.ones(10, dtype=np.float32))
     before = params.copy(), [buf.copy() for buf in state.buffers[:2]]
     bad = np.ones(10, dtype=np.float32)
